@@ -25,7 +25,6 @@ from .harness import (
     cs_phase_diagram,
     cs_recover,
     decay_experiment,
-    parallel_map_trials,
     rastrigin_phase_diagram,
     run_trials,
     wilson_interval,

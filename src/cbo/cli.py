@@ -33,7 +33,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
         cmd.add_argument("--out", default=None, help="output file (default stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default="json")
-        cmd.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -77,7 +76,7 @@ def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> str:
     base = cfg.build_experiment()
     diagram = harness.rastrigin_phase_diagram(
         [float(v) for v in x_grid], [int(v) for v in y_grid], base,
-        workers=args.workers, sigma2_coupling=sweep["sigma2_coupling"],
+        sigma2_coupling=sweep["sigma2_coupling"],
     )
     return diagram.to_csv() if args.format == "csv" else diagram.to_json()
 
@@ -91,7 +90,7 @@ def _cmd_sweep_cs(cfg: ResolvedConfig, args) -> str:
     diagram = harness.cs_phase_diagram(
         [float(v) for v in x_grid], [int(v) for v in y_grid],
         {"d": cs["d"], "s": cs["s"], "mu": cs["mu"], "p": cs["p"]},
-        base, workers=args.workers,
+        base,
     )
     return diagram.to_csv() if args.format == "csv" else diagram.to_json()
 
@@ -207,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (DivergedError, ValueError) as err:
         log.error("runtime failure: %s", err)
+        return EXIT_RUNTIME
+    except Exception:  # a programming error must not read as a configuration error
+        log.exception("runtime failure")
         return EXIT_RUNTIME
     _write(text, args.out)
     return code

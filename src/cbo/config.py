@@ -11,15 +11,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .dynamics import CboParams, DiffusionType, InitSpec, Schedule
-from .harness import ExperimentConfig, SuccessRule, TrialProblem, cs_experiment_config
-from .objectives import (
-    CsObjective,
-    Rastrigin,
-    Sphere,
-    generate_cs_instance,
-    toy_stochastic_objective,
-)
-from .rng import RngStream
+from .harness import ExperimentConfig, SuccessRule, TrialProblem, cs_instance_factory
+from .objectives import Rastrigin, Sphere, toy_stochastic_objective
 from .theory import AssumptionConstants
 
 
@@ -195,7 +188,7 @@ class ResolvedConfig:
             raise ConfigError(str(err))
 
     def objective_factory(self):
-        """Returns (factory, x_star-known flag). CS objectives generate a
+        """Returns the per-trial problem factory. CS objectives generate a
         fresh instance per trial."""
         spec = self["objective"]
         kind = spec["kind"]
@@ -214,15 +207,7 @@ class ResolvedConfig:
             return lambda rng: TrialProblem(obj, x_star=origin)
         if kind == "cs":
             cs = self["cs"]
-
-            def factory(rng: RngStream) -> TrialProblem:
-                inst = generate_cs_instance(
-                    cs["d"], cs["m"], cs["s"], cs["mu"], cs["p"],
-                    rng.for_trial(rng.trial + 1_000_003),
-                )
-                return TrialProblem(CsObjective(inst), x_star=inst.ground_truth, instance=inst)
-
-            return factory
+            return cs_instance_factory(cs["d"], cs["m"], cs["s"], cs["mu"], cs["p"])
         raise ConfigError(f"objective.kind: unknown objective {kind!r}")
 
     def build_experiment(self) -> ExperimentConfig:

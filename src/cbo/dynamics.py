@@ -82,27 +82,44 @@ class CboParams:
 
 @dataclass
 class Ensemble:
-    """Positions X, historical-best memories Y and cached memory energies."""
+    """Positions X, historical-best memories Y and cached memory energies.
+
+    Positions and memories have shape (..., N, d) and the energies (..., N):
+    leading axes hold the independent trials of a batch, and an ensemble
+    without them is a single trajectory.  Per trial, ``active`` marks the
+    trials still advancing and ``diverged_at`` the step at which a trial
+    turned non-finite (-1 while it has not).
+    """
 
     positions: np.ndarray
     memories: np.ndarray
     memory_energies: np.ndarray
     step_index: int = 0
     dt: float = 0.0
+    active: np.ndarray | None = None
+    diverged_at: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.positions.shape != self.memories.shape:
-            raise ValueError("positions and memories must have identical shape")
-        if self.memory_energies.shape != (self.positions.shape[0],):
+        if self.positions.ndim < 2 or self.positions.shape != self.memories.shape:
+            raise ValueError("positions and memories must have identical (..., N, d) shape")
+        if self.memory_energies.shape != self.positions.shape[:-1]:
             raise ValueError("memory_energies must have one entry per particle")
+        if self.active is None:
+            self.active = np.ones(self.batch_shape, dtype=bool)
+        if self.diverged_at is None:
+            self.diverged_at = np.full(self.batch_shape, -1)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.positions.shape[:-2]
 
     @property
     def n(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
 
     @property
     def time(self) -> float:
@@ -115,6 +132,8 @@ class Ensemble:
             self.memory_energies.copy(),
             self.step_index,
             self.dt,
+            self.active.copy(),
+            self.diverged_at.copy(),
         )
 
 
@@ -172,10 +191,12 @@ class RunResult:
 
 
 def consensus_point(points, energies, alpha, subset=None) -> np.ndarray:
-    """Softmax-weighted average of points with weights exp(-alpha * energy).
+    """Softmax-weighted average of points with weights exp(-alpha * energy),
+    over the particle axis of points (..., N, d) and energies (..., N).
 
     The minimum energy is subtracted inside the exponential; this cancels in
-    the normalized weights and keeps alpha up to 1e15 overflow-safe.
+    the normalized weights and keeps alpha up to 1e15 overflow-safe.  The
+    optional ``subset`` holds particle indices, (k,) or one row per trial.
     """
     points = np.asarray(points, dtype=float)
     energies = np.asarray(energies, dtype=float)
@@ -183,14 +204,15 @@ def consensus_point(points, energies, alpha, subset=None) -> np.ndarray:
         subset = np.asarray(subset, dtype=int)
         if subset.size == 0:
             raise ValueError("empty consensus set")
-        points = points[subset]
-        energies = energies[subset]
-    if points.shape[0] == 0:
+        points = np.take_along_axis(points, subset[..., None], axis=-2)
+        energies = np.take_along_axis(energies, subset, axis=-1)
+    if points.shape[-2] == 0:
         raise ValueError("empty consensus set")
     if not np.all(np.isfinite(energies)):
         raise ValueError("invalid energy")
-    weights = np.exp(-alpha * (energies - energies.min()))
-    return (weights @ points) / weights.sum()
+    weights = np.exp(-alpha * (energies - energies.min(axis=-1, keepdims=True)))
+    # a stacked (1, N) @ (N, d) product per trial: rows equal the unbatched result
+    return (weights[..., None, :] @ points)[..., 0, :] / weights.sum(axis=-1, keepdims=True)
 
 
 def memory_switch(e_x, e_y, beta, theta):
@@ -207,7 +229,8 @@ def memory_switch(e_x, e_y, beta, theta):
 
 
 def exact_memory_update(ens: Ensemble, new_positions, new_energies) -> Ensemble:
-    """Replace memory rows on strict energy improvement (in place).
+    """Replace memory rows on strict energy improvement (in place), in the
+    active trials only.
 
     Reuses the supplied energies, so no extra objective evaluations happen;
     memory energies are non-increasing along any trajectory.
@@ -219,15 +242,25 @@ def exact_memory_update(ens: Ensemble, new_positions, new_energies) -> Ensemble:
     if new_energies.shape != ens.memory_energies.shape:
         raise ValueError("shape mismatch between new energies and cache")
     improved = new_energies < ens.memory_energies
-    ens.memories[improved] = new_positions[improved]
-    ens.memory_energies[improved] = new_energies[improved]
+    if not ens.active.all():
+        improved &= ens.active[..., None]
+    np.copyto(ens.memories, new_positions, where=improved[..., None])
+    np.copyto(ens.memory_energies, new_energies, where=improved)
     return ens
 
 
 def _diffusion_noise(arg: np.ndarray, z: np.ndarray, diffusion: DiffusionType) -> np.ndarray:
     if diffusion is DiffusionType.ANISOTROPIC:
         return arg * z
-    return np.linalg.norm(arg, axis=1, keepdims=True) * z
+    return np.linalg.norm(arg, axis=-1, keepdims=True) * z
+
+
+def _unless_frozen(active: np.ndarray | None, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``new``, with the trials outside ``active`` (None: all are in) kept at
+    ``old``."""
+    if active is None:
+        return new
+    return np.where(active.reshape(active.shape + (1,) * (new.ndim - active.ndim)), new, old)
 
 
 def step(
@@ -235,13 +268,20 @@ def step(
     params: CboParams,
     objective: Objective,
     rng: RngStream,
-    batch: int | None = None,
+    batch: int | np.ndarray | None = None,
     n_consensus: int | None = None,
 ) -> Ensemble:
     """One Euler-Maruyama update of positions followed by the memory update.
 
     The consensus point is computed from the memories Y, with optional random
-    particle subset of size n_consensus. Mutates and returns ``ens``.
+    particle subset of size n_consensus.  With a mini-batch index (one per
+    trial) the memory energies are first re-evaluated on that batch.
+
+    A trial whose positions or energies turn non-finite in this step is
+    frozen at its state before it, and the step is recorded in its
+    ``diverged_at``; an ensemble without a trial axis raises DivergedError
+    instead.  Frozen trials are never written again.  Mutates and returns
+    ``ens``.
     """
     k = ens.step_index
     x = ens.positions
@@ -249,48 +289,67 @@ def step(
     e_y = ens.memory_energies
     dt = params.dt
 
-    subset = None
-    if n_consensus is not None and n_consensus < ens.n:
-        subset = rng.generator(k, CHANNEL_SUBSET).choice(ens.n, size=n_consensus, replace=False)
+    # non-finite values are caught by the per-trial checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = True
+        if batch is not None:
+            e_y = objective.values(y, batch)
+            ok = np.isfinite(e_y).all(axis=-1)
+            # a trial failing here keeps its finite energies for the consensus
+            e_y = np.where(ok[..., None], e_y, ens.memory_energies)
 
-    y_alpha = consensus_point(y, e_y, params.alpha, subset)
+        subset = None
+        if n_consensus is not None and n_consensus < ens.n:
+            subset = rng.draw(
+                CHANNEL_SUBSET, lambda gen: gen.choice(ens.n, size=n_consensus, replace=False)
+            )
+        y_alpha = consensus_point(y, e_y, params.alpha, subset)[..., None, :]
 
-    drift = params.lambda1 * (x - y_alpha)
-    if params.lambda2 != 0.0:
-        drift = drift + params.lambda2 * (x - y)
-    grads = None
-    if params.lambda3 != 0.0 or params.sigma3 != 0.0:
-        grads = objective.gradients(x, batch)
-        if params.lambda3 != 0.0:
-            drift = drift + params.lambda3 * grads
+        drift = params.lambda1 * (x - y_alpha)
+        if params.lambda2 != 0.0:
+            drift = drift + params.lambda2 * (x - y)
+        grads = None
+        if params.lambda3 != 0.0 or params.sigma3 != 0.0:
+            grads = objective.gradients(x, batch)
+            if params.lambda3 != 0.0:
+                drift = drift + params.lambda3 * grads
 
-    x_new = x - dt * drift
-    sqrt_dt = math.sqrt(dt)
-    if params.sigma1 != 0.0:
-        z = rng.gaussians(k, CHANNEL_CONSENSUS, ens.n, ens.d)
-        x_new = x_new + params.sigma1 * sqrt_dt * _diffusion_noise(x - y_alpha, z, params.diffusion)
-    if params.sigma2 != 0.0:
-        z = rng.gaussians(k, CHANNEL_MEMORY, ens.n, ens.d)
-        x_new = x_new + params.sigma2 * sqrt_dt * _diffusion_noise(x - y, z, params.diffusion)
-    if params.sigma3 != 0.0:
-        z = rng.gaussians(k, CHANNEL_GRADIENT, ens.n, ens.d)
-        x_new = x_new + params.sigma3 * sqrt_dt * _diffusion_noise(grads, z, params.diffusion)
+        x_new = x - dt * drift
+        sqrt_dt = math.sqrt(dt)
+        if params.sigma1 != 0.0:
+            z = rng.gaussians(CHANNEL_CONSENSUS, ens.n, ens.d)
+            x_new = x_new + params.sigma1 * sqrt_dt * _diffusion_noise(x - y_alpha, z, params.diffusion)
+        if params.sigma2 != 0.0:
+            z = rng.gaussians(CHANNEL_MEMORY, ens.n, ens.d)
+            x_new = x_new + params.sigma2 * sqrt_dt * _diffusion_noise(x - y, z, params.diffusion)
+        if params.sigma3 != 0.0:
+            z = rng.gaussians(CHANNEL_GRADIENT, ens.n, ens.d)
+            x_new = x_new + params.sigma3 * sqrt_dt * _diffusion_noise(grads, z, params.diffusion)
 
-    if not np.all(np.isfinite(x_new)):
-        raise DivergedError(k)
+        e_new = objective.values(x_new, batch)
+        ok = ok & np.isfinite(x_new).all(axis=(-2, -1)) & np.isfinite(e_new).all(axis=-1)
+        if not params.uses_exact_memory:
+            s = memory_switch(e_new, e_y, params.beta, params.theta)
+            y_new = y + dt * params.kappa * (x_new - y) * s[..., None]
+            # the smoothed rule moves the memory, so its energy is re-evaluated
+            e_y_new = objective.values(y_new, batch)
+            ok = ok & np.isfinite(e_y_new).all(axis=-1)
 
-    e_new = objective.values(x_new, batch)
-    if not np.all(np.isfinite(e_new)):
-        raise DivergedError(k)
+    if not ok.all():
+        if not ens.batch_shape:
+            raise DivergedError(k)
+        ens.diverged_at[ens.active & ~ok] = k
+        ens.active = ens.active & ok
+    active = None if ens.active.all() else ens.active
 
-    ens.positions = x_new
+    ens.positions = _unless_frozen(active, x_new, x)
     if params.uses_exact_memory:
+        if batch is not None:
+            ens.memory_energies = _unless_frozen(active, e_y, ens.memory_energies)
         exact_memory_update(ens, x_new, e_new)
     else:
-        s = memory_switch(e_new, e_y, params.beta, params.theta)
-        ens.memories = y + dt * params.kappa * (x_new - y) * s[:, None]
-        # smoothed rule moves the memory, so its energy must be re-evaluated
-        ens.memory_energies = objective.values(ens.memories, batch)
+        ens.memories = _unless_frozen(active, y_new, y)
+        ens.memory_energies = _unless_frozen(active, e_y_new, ens.memory_energies)
     ens.step_index = k + 1
     ens.dt = dt
     return ens
@@ -323,15 +382,16 @@ class InitSpec:
 
 def init_ensemble(
     n: int, d: int, init: InitSpec, rng: RngStream, objective: Objective, dt: float,
-    batch: int | None = None,
+    batch: int | np.ndarray | None = None,
 ) -> Ensemble:
+    """n particles in d dimensions drawn from ``init``, one ensemble per
+    trial of ``rng`` (a trial axis when ``rng`` covers a batch)."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    gen = rng.generator(0, CHANNEL_INIT)
     if init.kind == "gaussian":
-        x = init.mean + init.std * gen.standard_normal((n, d))
+        x = init.mean + init.std * rng.gaussians(CHANNEL_INIT, n, d)
     else:
-        x = gen.uniform(init.low, init.high, size=(n, d))
+        x = rng.draw(CHANNEL_INIT, lambda gen: gen.uniform(init.low, init.high, size=(n, d)))
     energies = objective.values(x, batch)
     return Ensemble(x, x.copy(), np.asarray(energies, dtype=float), 0, dt)
 
@@ -348,8 +408,19 @@ def run(
     n_consensus: int | None = None,
 ) -> RunResult:
     """Iterate ``step`` up to stop.max_steps, applying the schedule at epoch
-    boundaries.  With ``record`` the per-step Lyapunov / distance diagnostics
-    are collected (requires ``x_star`` for the distance track)."""
+    boundaries.
+
+    Trials end independently: a trial stops when its consensus point moves
+    less than ``stop.consensus_tol`` in one step or when it diverges, and the
+    run ends when no trial is active; ``n_steps`` counts the steps the batch
+    took.  ``RunResult.consensus`` holds each trial's consensus point when it
+    stopped, computed with the parameters of its last step and from the
+    memory energies cached by that step, which under mini-batching are the
+    energies on that step's batch; it is NaN for a diverged trial.
+
+    With ``record`` the per-step Lyapunov / distance diagnostics are
+    collected (requires ``x_star`` for the distance track), one value per
+    trial."""
     ens = initial
     diagnostics: dict = {}
     if record:
@@ -359,59 +430,54 @@ def run(
             diagnostics["w2_to_dirac"] = []
             diagnostics["consensus_dist"] = []
 
-    def consensus_of(e: Ensemble) -> np.ndarray:
-        return consensus_point(e.memories, e.memory_energies, params.alpha)
-
-    def snapshot(e: Ensemble, y_alpha: np.ndarray | None = None):
+    def snapshot(e: Ensemble, p: CboParams):
         diagnostics["time"].append(e.step_index * params.dt)
         if x_star is not None:
             dx = e.positions - x_star
-            v = 0.5 * (
-                np.einsum("ij,ij->i", dx, dx).mean()
-                + np.einsum(
-                    "ij,ij->i", e.memories - e.positions, e.memories - e.positions
-                ).mean()
-            )
-            diagnostics["lyapunov"].append(v)
+            dm = e.memories - e.positions
             dy = e.memories - x_star
+            sq_x = np.einsum("...ij,...ij->...i", dx, dx).mean(axis=-1)
+            v = 0.5 * (sq_x + np.einsum("...ij,...ij->...i", dm, dm).mean(axis=-1))
+            diagnostics["lyapunov"].append(v)
             diagnostics["w2_to_dirac"].append(
-                np.einsum("ij,ij->i", dx, dx).mean()
-                + np.einsum("ij,ij->i", dy, dy).mean()
+                sq_x + np.einsum("...ij,...ij->...i", dy, dy).mean(axis=-1)
             )
-            if y_alpha is None:
-                y_alpha = consensus_of(e)
-            diagnostics["consensus_dist"].append(float(np.linalg.norm(y_alpha - x_star)))
-        diagnostics["memory_energy_max"].append(float(e.memory_energies.max()))
+            y_alpha = consensus_point(e.memories, e.memory_energies, p.alpha)
+            diagnostics["consensus_dist"].append(np.linalg.norm(y_alpha - x_star, axis=-1))
+        diagnostics["memory_energy_max"].append(e.memory_energies.max(axis=-1))
 
+    step_params = schedule.params_at(params, ens.step_index)
     if record:
-        snapshot(ens)
+        snapshot(ens, step_params)
 
+    consensus = np.full(ens.batch_shape + (ens.d,), np.nan)
     prev_consensus = None
     realized = 0
     batched = objective.n_batches > 1
-    for k in range(stop.max_steps):
+    for _ in range(stop.max_steps):
+        if not ens.active.any():
+            break
         step_params = schedule.params_at(params, ens.step_index)
         batch = None
         if batched:
-            batch = int(
-                rng.generator(ens.step_index, CHANNEL_BATCH).integers(objective.n_batches)
-            )
-            # the memory-energy cache refers to the previous batch
-            ens.memory_energies = objective.values(ens.memories, batch)
+            batch = rng.draw(CHANNEL_BATCH, lambda gen: gen.integers(objective.n_batches))
         step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
         realized += 1
         if record:
-            snapshot(ens)
+            snapshot(ens, step_params)
         if stop.consensus_tol is not None:
-            cur = consensus_of(ens)
-            if prev_consensus is not None and (
-                np.linalg.norm(cur - prev_consensus) < stop.consensus_tol
-            ):
-                prev_consensus = cur
-                break
+            cur = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)
+            if prev_consensus is not None:
+                moved = np.linalg.norm(cur - prev_consensus, axis=-1)
+                settled = ens.active & (moved < stop.consensus_tol)
+                if settled.any():
+                    consensus = np.where(settled[..., None], cur, consensus)
+                    ens.active = ens.active & ~settled
             prev_consensus = cur
 
-    final_consensus = consensus_of(ens)
+    if ens.active.any():
+        last = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)
+        consensus = np.where(ens.active[..., None], last, consensus)
     if record:
         diagnostics = {key: np.asarray(val) for key, val in diagnostics.items()}
-    return RunResult(ens, final_consensus, realized, diagnostics)
+    return RunResult(ens, consensus, realized, diagnostics)

@@ -8,9 +8,8 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,8 +65,10 @@ class TrialProblem:
 class ExperimentConfig:
     """Everything needed to reproduce a repeated-trial experiment.
 
-    ``objective_factory`` receives the trial-scoped RngStream and returns the
+    ``objective_factory`` receives the RngStream of one trial and returns the
     trial's problem; a fixed objective is simply a factory ignoring the rng.
+    The objectives of the trials of a cell are combined by
+    :meth:`Objective.stack`.
     """
 
     objective_factory: Callable[[RngStream], TrialProblem]
@@ -111,6 +112,19 @@ class TrialSummary:
     trials: int
     failures: int  # diverged trials, counted as unsuccessful
     outcomes: list[TrialOutcome] = field(default_factory=list)
+
+    @classmethod
+    def from_outcomes(cls, outcomes: list[TrialOutcome]) -> "TrialSummary":
+        n_success = sum(o.success for o in outcomes)
+        lo, hi = wilson_interval(n_success, len(outcomes))
+        return cls(
+            probability=n_success / len(outcomes),
+            ci_low=lo,
+            ci_high=hi,
+            trials=len(outcomes),
+            failures=sum(o.diverged for o in outcomes),
+            outcomes=outcomes,
+        )
 
     def to_csv(self, x_param: str = "", x_value="", y_param: str = "", y_value="") -> str:
         buf = io.StringIO()
@@ -182,72 +196,52 @@ def _score(problem: TrialProblem, consensus: np.ndarray, rule: SuccessRule) -> t
     return res.success, res.reason
 
 
-def run_single_trial(config: ExperimentConfig, trial: int) -> TrialOutcome:
-    rng = RngStream(config.seed + trial)
-    problem = config.objective_factory(rng)
+def _run_outcomes(config: ExperimentConfig, trials: int | Sequence[int]) -> list[TrialOutcome]:
+    """Outcomes of one trial (``trials`` an int) or of a batch of trials run
+    as one array program; each trial draws only from its own streams, so its
+    outcome is the same in any batch."""
+    rng = RngStream(config.seed, trials)
+    problems = [config.objective_factory(rng.for_trial(t)) for t in rng.trials]
+    objective = problems[0].objective
+    if rng.batch_shape:
+        objective = type(objective).stack([p.objective for p in problems])
+    ens = init_ensemble(
+        config.n_particles, objective.dimension, config.init, rng, objective,
+        config.params.dt,
+    )
     try:
-        ens = init_ensemble(
-            config.n_particles, problem.objective.dimension, config.init, rng,
-            problem.objective, config.params.dt,
-        )
         result = run(
-            ens, config.params, config.schedule, problem.objective,
+            ens, config.params, config.schedule, objective,
             StoppingRule(max_steps=config.n_steps), rng,
             n_consensus=config.n_consensus,
         )
-    except DivergedError as err:
-        return TrialOutcome(trial, success=False, diverged=True, reason=str(err))
-    success, reason = _score(problem, result.consensus, config.success)
-    return TrialOutcome(trial, success=success, consensus=result.consensus, reason=reason)
-
-
-def parallel_map_trials(tasks: list[Callable[[], object]], worker_budget: int = 1) -> list:
-    """Run independent zero-argument tasks, preserving input order.  Raised
-    exceptions are returned in place of results rather than aborting the
-    sweep."""
-    if worker_budget < 1:
-        raise ValueError("worker_budget must be at least 1")
-    if not tasks:
-        return []
-    if worker_budget == 1:
-        out = []
-        for task in tasks:
-            try:
-                out.append(task())
-            except Exception as err:  # noqa: BLE001 - aggregated per task
-                out.append(err)
-        return out
-    with ThreadPoolExecutor(max_workers=worker_budget) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        out = []
-        for fut in futures:
-            err = fut.exception()
-            out.append(err if err is not None else fut.result())
-    return out
-
-
-def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialSummary:
-    """M independent trials with seeds base + trial index."""
-    tasks = [
-        (lambda t=t: run_single_trial(config, t)) for t in range(config.trials)
-    ]
-    results = parallel_map_trials(tasks, workers)
-    outcomes: list[TrialOutcome] = []
-    for t, res in enumerate(results):
-        if isinstance(res, Exception):
-            outcomes.append(TrialOutcome(t, success=False, diverged=True, reason=str(res)))
+    except DivergedError as err:  # raised for a single trial only
+        return [TrialOutcome(rng.trial, success=False, diverged=True, reason=str(err))]
+    diverged_at = result.ensemble.diverged_at.reshape(-1)
+    consensus = result.consensus.reshape(-1, objective.dimension)
+    outcomes = []
+    for i, (trial, problem) in enumerate(zip(rng.trials, problems)):
+        if diverged_at[i] >= 0:
+            reason = str(DivergedError(int(diverged_at[i])))
+            outcomes.append(TrialOutcome(trial, success=False, diverged=True, reason=reason))
         else:
-            outcomes.append(res)
-    n_success = sum(o.success for o in outcomes)
-    lo, hi = wilson_interval(n_success, config.trials)
-    return TrialSummary(
-        probability=n_success / config.trials,
-        ci_low=lo,
-        ci_high=hi,
-        trials=config.trials,
-        failures=sum(o.diverged for o in outcomes),
-        outcomes=outcomes,
-    )
+            success, reason = _score(problem, consensus[i], config.success)
+            outcomes.append(
+                TrialOutcome(trial, success=success, consensus=consensus[i], reason=reason)
+            )
+    return outcomes
+
+
+def run_single_trial(config: ExperimentConfig, trial: int) -> TrialOutcome:
+    """Trial ``trial`` alone, on the streams of (config.seed, trial)."""
+    return _run_outcomes(config, trial)[0]
+
+
+def run_trials(config: ExperimentConfig) -> TrialSummary:
+    """The M trials of a cell as one batch; trial t runs on the streams of
+    (config.seed, t).  Only divergence is a trial outcome: any other error
+    propagates."""
+    return TrialSummary.from_outcomes(_run_outcomes(config, range(config.trials)))
 
 
 @dataclass
@@ -300,7 +294,6 @@ def _sweep(
     y_param: str,
     y_grid,
     config_for_cell: Callable[[object, object], ExperimentConfig],
-    workers: int,
     provenance: dict,
 ) -> PhaseDiagram:
     if len(x_grid) == 0 or len(y_grid) == 0:
@@ -312,7 +305,7 @@ def _sweep(
     failures = np.zeros(shape)
     for j, yv in enumerate(y_grid):
         for i, xv in enumerate(x_grid):
-            summary = run_trials(config_for_cell(xv, yv), workers)
+            summary = run_trials(config_for_cell(xv, yv))
             cells[j, i] = summary.probability
             lo[j, i] = summary.ci_low
             hi[j, i] = summary.ci_high
@@ -328,7 +321,6 @@ def rastrigin_phase_diagram(
     lambda2_grid,
     n_grid,
     base_config: ExperimentConfig,
-    workers: int = 1,
     sigma2_coupling: str = "zero",
 ) -> PhaseDiagram:
     """Success probability over (memory-drift strength, particle count).
@@ -351,10 +343,24 @@ def rastrigin_phase_diagram(
         return replace(base_config, params=params, n_particles=int(n))
 
     return _sweep(
-        "lambda2", lambda2_grid, "n_particles", n_grid, cell, workers,
+        "lambda2", lambda2_grid, "n_particles", n_grid, cell,
         provenance={"experiment": "rastrigin", "sigma2_coupling": sigma2_coupling,
                     **_config_provenance(base_config)},
     )
+
+
+def cs_instance_factory(
+    d: int, m: int, s: int, mu: float, p: float
+) -> Callable[[RngStream], TrialProblem]:
+    """Sparse-recovery problems with a fresh random instance per trial, drawn
+    from the trial's instance channel, averaging over measurement
+    randomness."""
+
+    def factory(rng: RngStream) -> TrialProblem:
+        inst = generate_cs_instance(d, m, s, mu, p, rng)
+        return TrialProblem(CsObjective(inst), x_star=inst.ground_truth, instance=inst)
+
+    return factory
 
 
 def cs_experiment_config(
@@ -365,14 +371,8 @@ def cs_experiment_config(
     p: float,
     base_config: ExperimentConfig,
 ) -> ExperimentConfig:
-    """A fresh random instance per trial, averaging over measurement
-    randomness."""
-
-    def factory(rng: RngStream) -> TrialProblem:
-        inst = generate_cs_instance(d, m, s, mu, p, rng.for_trial(rng.trial + 1_000_003))
-        return TrialProblem(CsObjective(inst), x_star=inst.ground_truth, instance=inst)
-
-    return replace(base_config, objective_factory=factory)
+    """``base_config`` with a fresh random instance per trial."""
+    return replace(base_config, objective_factory=cs_instance_factory(d, m, s, mu, p))
 
 
 def cs_phase_diagram(
@@ -380,7 +380,6 @@ def cs_phase_diagram(
     m_grid,
     instance_spec: dict,
     base_config: ExperimentConfig,
-    workers: int = 1,
 ) -> PhaseDiagram:
     """Recovery probability over (gradient-drift strength, measurement
     count).  instance_spec holds d, s, mu and p."""
@@ -394,7 +393,7 @@ def cs_phase_diagram(
         )
 
     return _sweep(
-        "lambda3", lambda3_grid, "m", m_grid, cell, workers,
+        "lambda3", lambda3_grid, "m", m_grid, cell,
         provenance={"experiment": "compressed_sensing", "instance": dict(instance_spec),
                     **_config_provenance(base_config)},
     )

@@ -3,18 +3,21 @@ sparse recovery, and gradient-verification helpers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import CHANNEL_INIT, RngStream
+from .rng import CHANNEL_INSTANCE, RngStream
 
 
 class Objective:
     """Evaluation interface for the particle dynamics.
 
-    Subclasses must set ``dimension`` and implement ``values``.  A batched
-    objective exposes ``n_batches > 1`` and interprets the ``batch`` argument;
+    Subclasses must set ``dimension`` and implement ``values``, which maps
+    points of shape (..., N, d) to energies of shape (..., N); leading axes
+    are the trials of a batch.  A batched objective exposes ``n_batches > 1``
+    and interprets the ``batch`` argument, one mini-batch index per trial;
     non-batched objectives ignore it.  ``gradients`` is optional and only
     required when a gradient drift or gradient noise term is active.
     """
@@ -23,13 +26,28 @@ class Objective:
     n_batches: int = 1
     has_gradient: bool = False
 
-    def values(self, points: np.ndarray, batch: int | None = None) -> np.ndarray:
+    @classmethod
+    def stack(cls, objectives: list["Objective"]) -> "Objective":
+        """One objective for a batch of trials whose trial t is
+        ``objectives[t]``.  Objectives without per-trial data must all
+        describe the same function, and the first one serves the batch."""
+        first = objectives[0]
+        for other in objectives[1:]:
+            if other is not first and not (
+                type(other) is type(first)
+                and vars(other).keys() == vars(first).keys()
+                and all(np.array_equal(v, vars(first)[k]) for k, v in vars(other).items())
+            ):
+                raise ValueError(f"trials of one batch need equal {cls.__name__} objectives")
+        return first
+
+    def values(self, points: np.ndarray, batch: int | np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray, batch: int | None = None) -> float:
         return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)), batch)[0])
 
-    def gradients(self, points: np.ndarray, batch: int | None = None) -> np.ndarray:
+    def gradients(self, points: np.ndarray, batch: int | np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} provides no gradient")
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -37,7 +55,7 @@ class Objective:
 
 
 class FunctionObjective(Objective):
-    """Wrap plain callables (vectorized over the first axis)."""
+    """Wrap plain callables mapping points (..., d) to values (...)."""
 
     def __init__(self, fn, dimension, grad_fn=None):
         self.fn = fn
@@ -63,7 +81,7 @@ class Sphere(Objective):
         self.dimension = dimension
 
     def values(self, points, batch=None):
-        return np.einsum("ij,ij->i", points, points)
+        return np.einsum("...j,...j->...", points, points)
 
     def gradients(self, points, batch=None):
         return 2.0 * points
@@ -78,7 +96,7 @@ class Rastrigin(Objective):
         self.dimension = dimension
 
     def values(self, points, batch=None):
-        return np.sum(points**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * points)), axis=1)
+        return np.sum(points**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * points)), axis=-1)
 
     def gradients(self, points, batch=None):
         return 2.0 * points + 5.0 * np.pi * np.sin(2.0 * np.pi * points)
@@ -173,33 +191,51 @@ def cs_grad(inst: CsInstance, x: np.ndarray, smoothing_eps: float = 1e-8) -> np.
 
 
 class CsObjective(Objective):
-    """Objective view of a CsInstance for the particle dynamics."""
+    """Objective view of a CsInstance for the particle dynamics.  Stacked
+    over a batch of trials, ``A`` has shape (M, m, d) and ``b`` (M, m)."""
 
     has_gradient = True
 
     def __init__(self, inst: CsInstance, smoothing_eps: float = 1e-8):
-        self.inst = inst
+        self.A = inst.A
+        self.b = inst.b
+        self.mu = inst.mu
+        self.p = inst.p
         self.dimension = inst.d
         self.smoothing_eps = smoothing_eps
 
+    @classmethod
+    def stack(cls, objectives: list["CsObjective"]) -> "CsObjective":
+        first = objectives[0]
+        if any((o.mu, o.p, o.smoothing_eps) != (first.mu, first.p, first.smoothing_eps)
+               for o in objectives):
+            raise ValueError("trials of one batch need equal mu, p and smoothing")
+        out = copy.copy(first)
+        out.A = np.stack([o.A for o in objectives])
+        out.b = np.stack([o.b for o in objectives])
+        return out
+
+    def _residual(self, points):
+        return points @ self.A.mT - self.b[..., None, :]
+
     def values(self, points, batch=None):
-        residual = points @ self.inst.A.T - self.inst.b
-        return 0.5 * np.einsum("ij,ij->i", residual, residual) + self.inst.mu * np.sum(
-            np.abs(points) ** self.inst.p, axis=1
+        residual = self._residual(points)
+        return 0.5 * np.einsum("...j,...j->...", residual, residual) + self.mu * np.sum(
+            np.abs(points) ** self.p, axis=-1
         )
 
     def gradients(self, points, batch=None):
-        g = (points @ self.inst.A.T - self.inst.b) @ self.inst.A
-        if self.inst.mu != 0:
-            p = self.inst.p
+        g = self._residual(points) @ self.A
+        if self.mu != 0:
+            p = self.p
             if p == 1.0:
-                g = g + self.inst.mu * np.sign(points)
+                g = g + self.mu * np.sign(points)
             else:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     reg = np.sign(points) * p * (np.abs(points) + self.smoothing_eps) ** (p - 1.0)
                 if self.smoothing_eps == 0.0:
                     reg = np.where(points == 0.0, 0.0, reg)
-                g = g + self.inst.mu * reg
+                g = g + self.mu * reg
         return g
 
 
@@ -212,7 +248,7 @@ def generate_cs_instance(
         raise ValueError(f"sparsity s={s} must be in [1, {d}]")
     if not (1 <= m <= d):
         raise ValueError(f"measurement count m={m} must be in [1, {d}]")
-    gen = rng.generator(0, CHANNEL_INIT)
+    gen = rng.generator(CHANNEL_INSTANCE)
     A = gen.standard_normal((m, d)) / np.sqrt(m)
     support = gen.choice(d, size=s, replace=False)
     raw = gen.standard_normal(s)
@@ -254,14 +290,16 @@ class ToyStochasticObjective(Objective):
             c = gen.standard_normal((n_batches, dimension)) * center_scale
             self.centers = c - c.mean(axis=0)
 
+    def _offsets(self, points, batch):
+        # one batch index per trial; its center applies to all its particles
+        return points - self.centers[0 if batch is None else batch][..., None, :]
+
     def values(self, points, batch=None):
-        c = self.centers[0 if batch is None else batch]
-        diff = points - c
-        return np.einsum("ij,ij->i", diff, diff)
+        diff = self._offsets(points, batch)
+        return np.einsum("...j,...j->...", diff, diff)
 
     def gradients(self, points, batch=None):
-        c = self.centers[0 if batch is None else batch]
-        return 2.0 * (points - c)
+        return 2.0 * self._offsets(points, batch)
 
 
 def toy_stochastic_objective(d: int, n_batches: int, seed: int = 0) -> ToyStochasticObjective:

@@ -27,8 +27,10 @@ from cbo.harness import (
     ExperimentConfig,
     SuccessRule,
     TrialProblem,
+    TrialSummary,
     cs_experiment_config,
     decay_experiment,
+    run_single_trial,
     run_trials,
 )
 from cbo.objectives import (
@@ -42,8 +44,6 @@ from cbo.objectives import (
 )
 from cbo.rng import RngStream
 from cbo.theory import AssumptionConstants, laplace_bound, lyapunov_V, wasserstein2_to_dirac
-
-WORKERS = 8
 
 SPHERE_CONSTANTS = AssumptionConstants(eta=1.0, nu=0.5, R0=1.0, E_inf=100.0, C_grad=2.0)
 
@@ -98,7 +98,7 @@ def cs_experiment(lambda3: float, n_particles: int, p: float, mu: float) -> Expe
 @pytest.fixture(scope="session")
 def cs_convex_summaries():
     return {
-        lam3: run_trials(cs_experiment(lam3, 10, p=1.0, mu=0.03), workers=WORKERS)
+        lam3: run_trials(cs_experiment(lam3, 10, p=1.0, mu=0.03))
         for lam3 in (0.0, 1.0)
     }
 
@@ -106,7 +106,7 @@ def cs_convex_summaries():
 @pytest.fixture(scope="session")
 def rastrigin_summaries():
     return {
-        lam2: run_trials(rastrigin_experiment(lam2), workers=WORKERS)
+        lam2: run_trials(rastrigin_experiment(lam2))
         for lam2 in (0.0, 2.0)
     }
 
@@ -114,7 +114,7 @@ def rastrigin_summaries():
 @pytest.fixture(scope="session")
 def cs_nonconvex_summaries():
     return {
-        n: run_trials(cs_experiment(0.5, n, p=0.5, mu=0.01), workers=WORKERS)
+        n: run_trials(cs_experiment(0.5, n, p=0.5, mu=0.01))
         for n in (10, 100)
     }
 
@@ -138,7 +138,7 @@ def recorded_runs():
     )
 
     rng = RngStream(0)
-    inst = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng.for_trial(1_000_003))
+    inst = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
     obj = CsObjective(inst)
     params = CboParams(lambda3=1.0, **CS_PARAMS)
     ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj, params.dt)
@@ -172,7 +172,7 @@ def test_gradient_benefit_in_sparse_recovery(cs_convex_summaries):
     passed = gap >= 0.5
     report(
         "gradient benefit", passed,
-        f"success(lambda3=1)={p1:.2f}, success(lambda3=0)={p0:.2f}, gap={gap:.2f} (need >= 0.5)",
+        f"success(lambda3=1)={p1:.4g}, success(lambda3=0)={p0:.4g}, gap={gap:.4g} (need >= 0.5)",
     )
     assert passed
 
@@ -185,7 +185,8 @@ def test_memory_benefit_on_rastrigin(rastrigin_summaries):
     passed = p2 >= p0 + 0.1
     report(
         "memory benefit", passed,
-        f"success(lambda2=2)={p2:.2f}, success(lambda2=0)={p0:.2f} (need gap >= 0.1)",
+        f"success(lambda2=2)={p2:.4g}, success(lambda2=0)={p0:.4g}, gap={p2 - p0:.4g} "
+        f"(need >= 0.1)",
     )
     assert passed
 
@@ -208,8 +209,8 @@ def test_lyapunov_decay_rate_in_theoretical_bracket():
         ok = ok and lower <= rep.fit.rate <= upper
     report(
         "decay bracket", ok,
-        f"fitted rates {[f'{r:.2f}' for r in rates]} vs bracket "
-        f"[{0.75 * 0.92:.3f}, {1.125 * 12.5 * 1.2:.3f}], 5 seeds",
+        f"fitted rates {[f'{r:.4g}' for r in rates]} vs bracket "
+        f"[{0.75 * 0.92:.4g}, {1.125 * 12.5 * 1.2:.4g}], 5 seeds",
     )
     assert ok
 
@@ -227,7 +228,7 @@ def test_wasserstein_dominated_by_lyapunov_pointwise(recorded_runs):
     passed = worst <= 1e-12
     report(
         "W2 <= 6V", passed,
-        f"max(W2 - 6V) = {worst:.3e} over {steps} recorded steps of "
+        f"max(W2 - 6V) = {worst:.4g} over {steps} recorded steps of "
         f"{len(recorded_runs)} runs (need <= 1e-12)",
     )
     assert passed
@@ -291,7 +292,7 @@ def test_consensus_point_matches_extended_precision():
     passed = worst < 1e-12
     report(
         "consensus oracle", passed,
-        f"max relative deviation {worst:.3e} over 500 cases (need < 1e-12)",
+        f"max relative deviation {worst:.4g} over 500 cases (need < 1e-12)",
     )
     assert passed
 
@@ -324,7 +325,7 @@ def test_analytic_gradients_match_finite_differences():
     passed = worst < 1e-5
     report(
         "gradient check", passed,
-        f"max relative error {worst:.3e} over 3 x 100 points (need < 1e-5)",
+        f"max relative error {worst:.4g} over 3 x 100 points (need < 1e-5)",
     )
     assert passed
 
@@ -341,7 +342,7 @@ def test_memory_energies_never_increase(recorded_runs):
             params = CboParams(lambda2=2.0, **RASTRIGIN_PARAMS)
             ens = init_ensemble(100, 4, InitSpec("gaussian", mean=1.5, std=1.0), rng, obj, params.dt)
         else:
-            inst = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng.for_trial(1_000_003))
+            inst = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
             obj = CsObjective(inst)
             params = CboParams(lambda3=1.0, **CS_PARAMS)
             ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj, params.dt)
@@ -362,23 +363,27 @@ def test_memory_energies_never_increase(recorded_runs):
 
 
 def test_repeated_runs_give_bit_identical_output_files(tmp_path, cs_convex_summaries):
-    """The sparse-recovery experiment repeated with the same seed at worker
-    counts 1 and 8 writes byte-identical result files."""
+    """The sparse-recovery experiment repeated with the same seed, once as
+    the batched cell and once trial at a time, writes byte-identical result
+    files."""
+    config = cs_experiment(1.0, 10, p=1.0, mu=0.03)
+    alone = TrialSummary.from_outcomes(
+        [run_single_trial(config, t) for t in range(config.trials)]
+    )
     files = {}
-    for workers in (1, 8):
-        summary = run_trials(cs_experiment(1.0, 10, p=1.0, mu=0.03), workers=workers)
-        path = tmp_path / f"summary_w{workers}.csv"
+    for split, summary in (("batched", cs_convex_summaries[1.0]), ("alone", alone)):
+        path = tmp_path / f"summary_{split}.csv"
         path.write_text(summary.to_csv("lambda3", 1.0, "m", 25))
-        files[workers] = path.read_bytes()
-        # the per-trial states, not just aggregates, must coincide
-        for a, b in zip(summary.outcomes, cs_convex_summaries[1.0].outcomes):
-            assert a.success == b.success
-            if a.consensus is not None:
-                np.testing.assert_array_equal(a.consensus, b.consensus)
-    passed = files[1] == files[8]
+        files[split] = path.read_bytes()
+    # the per-trial states, not just aggregates, must coincide
+    for a, b in zip(alone.outcomes, cs_convex_summaries[1.0].outcomes):
+        assert (a.success, a.diverged, a.reason) == (b.success, b.diverged, b.reason)
+        if a.consensus is not None:
+            np.testing.assert_array_equal(a.consensus, b.consensus)
+    passed = files["batched"] == files["alone"]
     report(
         "determinism", passed,
-        "result files for worker counts 1 and 8 are "
+        "result files of the batched cell and of trial-at-a-time runs are "
         + ("byte-identical" if passed else "DIFFERENT"),
     )
     assert passed
@@ -406,8 +411,8 @@ def test_nonconvex_recovery_benefits_from_more_particles(cs_nonconvex_summaries)
     passed = particles_ok and minibatch_ok
     report(
         "nonconvex recovery", passed,
-        f"success(N=100)={p_large:.2f} vs success(N=10)={p_small:.2f} "
-        f"(need gap >= 0.05); mini-batch max distance {max(dists):.3f} (need < 0.1)",
+        f"success(N=100)={p_large:.4g} vs success(N=10)={p_small:.4g}, gap={p_large - p_small:.4g} "
+        f"(need >= 0.05); mini-batch max distance {max(dists):.4g} (need < 0.1)",
     )
     assert passed
 

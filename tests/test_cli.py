@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from cbo import harness
 from cbo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from cbo.config import ConfigError, load_config, resolve
+from cbo.objectives import Rastrigin
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -163,22 +165,42 @@ class TestSweepCommands:
         out = tmp_path / "sweep.csv"
         code = main([
             "sweep-rastrigin", "--config", self.sweep_config(tmp_path),
-            "--format", "csv", "--out", str(out), "--workers", "2",
+            "--format", "csv", "--out", str(out),
         ])
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 4
         assert all(0.0 <= float(r["success_prob"]) <= 1.0 for r in rows)
 
-    def test_rastrigin_sweep_worker_counts_identical_files(self, tmp_path):
+    def test_rastrigin_sweep_worker_counts_identical_files(self, tmp_path, monkeypatch):
+        """Batch-split invariance: the sweep file of batched cells equals the
+        one written from trial-at-a-time runs."""
         cfg = self.sweep_config(tmp_path)
         files = []
-        for workers in ("1", "8"):
-            out = tmp_path / f"sweep_w{workers}.csv"
-            main(["sweep-rastrigin", "--config", cfg, "--format", "csv",
-                  "--out", str(out), "--workers", workers])
+        for split in ("batched", "alone"):
+            if split == "alone":
+                monkeypatch.setattr(
+                    harness, "run_trials",
+                    lambda config: harness.TrialSummary.from_outcomes(
+                        [harness.run_single_trial(config, t) for t in range(config.trials)]
+                    ),
+                )
+            out = tmp_path / f"sweep_{split}.csv"
+            assert main(["sweep-rastrigin", "--config", cfg, "--format", "csv",
+                         "--out", str(out)]) == EXIT_OK
             files.append(out.read_bytes())
         assert files[0] == files[1]
+
+    def test_programming_error_exits_runtime(self, tmp_path, monkeypatch):
+        def broken(self, points, batch=None):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(Rastrigin, "values", broken)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep-rastrigin", "--config", self.sweep_config(tmp_path),
+                     "--format", "csv", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert not out.exists()
 
     def test_cs_sweep_json(self, tmp_path):
         path = write_config(

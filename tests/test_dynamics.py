@@ -20,7 +20,7 @@ from cbo.dynamics import (
     run,
     step,
 )
-from cbo.objectives import FunctionObjective, Sphere
+from cbo.objectives import FunctionObjective, Rastrigin, Sphere, ToyStochasticObjective
 from cbo.rng import RngStream
 
 
@@ -147,6 +147,16 @@ def make_ensemble(positions, objective, dt):
     )
 
 
+def box_objective(d, half_width):
+    """Sphere energy inside the box |x|_inf < half_width, +inf outside it."""
+    return FunctionObjective(
+        lambda x: np.where(
+            np.abs(x).max(axis=-1) < half_width, np.einsum("...j,...j->...", x, x), np.inf
+        ),
+        d,
+    )
+
+
 class TestStep:
     def test_single_particle_fixed_point(self):
         obj = Sphere(2)
@@ -210,6 +220,99 @@ class TestStep:
         np.testing.assert_allclose(
             ens.memory_energies, obj.values(np.asarray(expected)), rtol=1e-12
         )
+
+
+    def test_smoothed_memory_divergence(self):
+        # dt * kappa = 5: the memory of the particle at 2 overshoots its moved
+        # position 0.5 and leaves the box where the energy is finite
+        obj = box_objective(1, 3.0)
+        params = CboParams(lambda1=1.0, dt=0.5, alpha=1e15, beta=2.0, theta=0.1, kappa=10.0)
+        ens = make_ensemble([[-1.0], [2.0]], obj, params.dt)
+        with pytest.raises(DivergedError) as err:
+            step(ens, params, obj, RngStream(0))
+        assert err.value.step_index == 0
+        # in a batch only that trial is frozen, at its state before the step
+        batch = make_ensemble([[[-1.0], [2.0]], [[-1.0], [0.5]]], obj, params.dt)
+        before = batch.copy()
+        step(batch, params, obj, RngStream(0, [0, 1]))
+        assert batch.diverged_at.tolist() == [0, -1]
+        assert batch.active.tolist() == [False, True]
+        for name in ("positions", "memories", "memory_energies"):
+            np.testing.assert_array_equal(getattr(batch, name)[0], getattr(before, name)[0])
+        assert np.all(np.isfinite(batch.memory_energies))
+        assert not np.array_equal(batch.memories[1], before.memories[1])
+
+
+BATCH_PARAMS = {
+    "exact": CboParams(lambda1=1.0, lambda2=0.5, sigma1=0.8, sigma2=0.3, alpha=30.0,
+                       dt=0.05, kappa=20.0),
+    "smoothed": CboParams(lambda1=1.0, lambda3=0.2, sigma1=0.8, sigma3=0.1, alpha=30.0,
+                          beta=3.0, theta=0.2, kappa=4.0, dt=0.05,
+                          diffusion=DiffusionType.ISOTROPIC),
+}
+
+
+class TestBatchedStep:
+    """Properties of the dynamics with a leading trial axis."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        trial=st.integers(0, 1000),
+        n=st.integers(2, 7),
+        d=st.integers(1, 4),
+        rule=st.sampled_from(sorted(BATCH_PARAMS)),
+        subset=st.booleans(),
+        minibatch=st.booleans(),
+    )
+    def test_batch_of_one_equals_unbatched_run(self, seed, trial, n, d, rule, subset, minibatch):
+        obj = ToyStochasticObjective(d, 4) if minibatch else Rastrigin(d)
+        params = BATCH_PARAMS[rule]
+        n_consensus = n - 1 if subset else None
+        runs = []
+        for rng in (RngStream(seed, trial), RngStream(seed, [trial])):
+            ens = init_ensemble(n, d, InitSpec(std=2.0), rng, obj, params.dt)
+            runs.append(run(ens, params, Schedule(), obj, StoppingRule(max_steps=4), rng,
+                            n_consensus=n_consensus))
+        single, batch = runs
+        assert batch.ensemble.batch_shape == (1,)
+        assert batch.consensus[0].tobytes() == single.consensus.tobytes()
+        for name in ("positions", "memories", "memory_energies"):
+            got = getattr(batch.ensemble, name)[0]
+            assert got.tobytes() == getattr(single.ensemble, name).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.permutations(range(4)),
+        rule=st.sampled_from(sorted(BATCH_PARAMS)),
+    )
+    def test_permuting_trials_permutes_results(self, seed, order, rule):
+        obj = Rastrigin(3)
+        params = BATCH_PARAMS[rule]
+        runs = []
+        for trials in (range(4), order):
+            rng = RngStream(seed, trials)
+            ens = init_ensemble(6, 3, InitSpec(std=2.0), rng, obj, params.dt)
+            for _ in range(4):
+                step(ens, params, obj, rng)
+            runs.append(ens)
+        plain, permuted = runs
+        for name in ("positions", "memories", "memory_energies"):
+            assert getattr(plain, name)[list(order)].tobytes() == getattr(permuted, name).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5))
+    def test_memory_energies_never_increase_under_exact_rule(self, seed, m):
+        obj = Rastrigin(2)
+        params = BATCH_PARAMS["exact"]
+        assert params.uses_exact_memory
+        rng = RngStream(seed, range(m))
+        ens = init_ensemble(8, 2, InitSpec(std=2.0), rng, obj, params.dt)
+        for _ in range(30):
+            prev = ens.memory_energies.copy()
+            step(ens, params, obj, rng)
+            assert np.all(ens.memory_energies <= prev)
 
 
 class TestExactMemoryUpdate:
@@ -317,6 +420,53 @@ class TestRun:
             StoppingRule(max_steps=10_000, consensus_tol=1e-12), rng,
         )
         assert res.n_steps < 10_000
+
+
+    def test_reported_consensus_uses_last_step_params(self):
+        obj = Sphere(2)
+        params = CboParams(lambda1=1.0, dt=0.1, alpha=1.0, kappa=10.0)
+        sched = Schedule(alpha_rule="double_per_epoch", epoch_length=1)
+        rng = RngStream(6)
+        ens = init_ensemble(10, 2, InitSpec(), rng, obj, params.dt)
+        res = run(ens, params, sched, obj, StoppingRule(max_steps=3), rng)
+        last = sched.params_at(params, 2)
+        assert last.alpha == 4.0
+        e = res.ensemble
+        np.testing.assert_array_equal(
+            res.consensus, consensus_point(e.memories, e.memory_energies, last.alpha)
+        )
+        assert not np.allclose(
+            res.consensus, consensus_point(e.memories, e.memory_energies, params.alpha)
+        )
+
+    def test_batch_split_invariance_with_early_stops(self):
+        """Each trial of a batch ends as it does alone: a consensus_tol stop
+        or a divergence freezes only its own trial."""
+        obj = box_objective(2, 1.0)
+        params = CboParams(lambda1=1.0, sigma1=1.0, alpha=30.0, dt=0.05, kappa=20.0)
+        stop = StoppingRule(max_steps=400, consensus_tol=1e-3)
+        init = InitSpec("uniform", low=-0.5, high=0.5)
+        rng = RngStream(3, range(8))
+        ens = init_ensemble(20, 2, init, rng, obj, params.dt)
+        batch = run(ens, params, Schedule(), obj, stop, rng)
+        diverged = stopped_early = 0
+        for t in range(8):
+            rng = RngStream(3, t)
+            ens = init_ensemble(20, 2, init, rng, obj, params.dt)
+            try:
+                alone = run(ens, params, Schedule(), obj, stop, rng)
+            except DivergedError as err:
+                assert batch.ensemble.diverged_at[t] == err.step_index
+                assert np.all(np.isnan(batch.consensus[t]))
+                diverged += 1
+                continue
+            assert batch.ensemble.diverged_at[t] == -1
+            assert batch.consensus[t].tobytes() == alone.consensus.tobytes()
+            for name in ("positions", "memories", "memory_energies"):
+                got = getattr(batch.ensemble, name)[t]
+                assert got.tobytes() == getattr(alone.ensemble, name).tobytes()
+            stopped_early += alone.n_steps < batch.n_steps
+        assert diverged and stopped_early
 
 
 class TestSchedule:

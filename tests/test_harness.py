@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,18 +13,19 @@ from cbo.harness import (
     PhaseDiagram,
     SuccessRule,
     TrialProblem,
+    TrialSummary,
     cs_experiment_config,
     cs_phase_diagram,
     cs_recover,
     decay_experiment,
-    parallel_map_trials,
     rastrigin_phase_diagram,
     recover_support,
     run_single_trial,
     run_trials,
     wilson_interval,
 )
-from cbo.objectives import CsInstance, Sphere, generate_cs_instance
+import cbo.harness
+from cbo.objectives import CsInstance, FunctionObjective, Sphere, generate_cs_instance
 from cbo.rng import RngStream
 from cbo.theory import AssumptionConstants
 
@@ -42,6 +44,13 @@ def sphere_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def trial_at_a_time(config):
+    """The cell summary of ``run_trials``, one trial per run."""
+    return TrialSummary.from_outcomes(
+        [run_single_trial(config, t) for t in range(config.trials)]
+    )
 
 
 class TestWilsonInterval:
@@ -92,12 +101,48 @@ class TestRunTrials:
         assert summary.probability == 0.0
 
     def test_worker_counts_agree(self):
-        a = run_trials(sphere_config(), workers=1)
-        b = run_trials(sphere_config(), workers=8)
-        assert a.probability == b.probability
-        for oa, ob in zip(a.outcomes, b.outcomes):
-            assert oa.success == ob.success
-            np.testing.assert_array_equal(oa.consensus, ob.consensus)
+        """Batch-split invariance: each trial of the batched cell has the
+        outcome it has when run alone, bit for bit, diverged trials included."""
+        # energies blow up outside the box |x| < 1, which noisy trials may leave
+        box = FunctionObjective(
+            lambda x: np.where(
+                np.abs(x).max(axis=-1) < 1.0, np.einsum("...j,...j->...", x, x), np.inf
+            ),
+            2,
+        )
+        cfg = sphere_config(
+            objective_factory=lambda rng: TrialProblem(box, x_star=np.zeros(2)),
+            params=CboParams(lambda1=1.0, sigma1=1.0, alpha=1e6, dt=0.05, kappa=20.0),
+            trials=8,
+            init=InitSpec("uniform", low=-0.5, high=0.5),
+        )
+        summary = run_trials(cfg)
+        assert 0 < summary.failures < cfg.trials
+        for t, batched in enumerate(summary.outcomes):
+            alone = run_single_trial(cfg, t)
+            assert (batched.trial, batched.success, batched.diverged, batched.reason) == (
+                alone.trial, alone.success, alone.diverged, alone.reason
+            )
+            if alone.consensus is None:
+                assert batched.consensus is None
+            else:
+                assert batched.consensus.tobytes() == alone.consensus.tobytes()
+
+    def test_programming_errors_propagate(self):
+        # an objective reducing over an axis the points do not have
+        bad = FunctionObjective(lambda x: np.sum(x**2, axis=3), 2)
+        cfg = sphere_config(objective_factory=lambda rng: TrialProblem(bad, x_star=np.zeros(2)))
+        with pytest.raises(np.exceptions.AxisError):
+            run_trials(cfg)
+
+    def test_adjacent_seeds_share_no_trial_stream(self):
+        cfg = sphere_config(trials=5)
+        draws = {
+            (seed, t): outcome.consensus.tobytes()
+            for seed in (0, 1)
+            for t, outcome in enumerate(run_trials(replace(cfg, seed=seed)).outcomes)
+        }
+        assert len(set(draws.values())) == len(draws)
 
     def test_trials_use_distinct_seeds(self):
         cfg = sphere_config(trials=4)
@@ -110,25 +155,6 @@ class TestRunTrials:
             sphere_config(horizon_T=0.07)
         with pytest.raises(ValueError, match="trials"):
             sphere_config(trials=0)
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        tasks = [lambda k=k: k * k for k in range(20)]
-        assert parallel_map_trials(tasks, 4) == [k * k for k in range(20)]
-
-    def test_exceptions_returned_in_place(self):
-        def boom():
-            raise RuntimeError("nope")
-
-        out = parallel_map_trials([lambda: 1, boom, lambda: 3], 2)
-        assert out[0] == 1 and out[2] == 3
-        assert isinstance(out[1], RuntimeError)
-
-    def test_empty_and_invalid(self):
-        assert parallel_map_trials([], 2) == []
-        with pytest.raises(ValueError):
-            parallel_map_trials([lambda: 1], 0)
 
 
 class TestRecoverSupport:
@@ -189,26 +215,27 @@ class TestCsRecover:
     def test_fresh_instances_per_trial(self):
         cfg = sphere_config(trials=3, success=SuccessRule(kind="exact_sparse_recovery"))
         cfg = cs_experiment_config(8, 5, 2, 0.01, 1.0, cfg)
-        instances = [cfg.objective_factory(RngStream(cfg.seed + t)).instance for t in range(3)]
+        instances = [cfg.objective_factory(RngStream(cfg.seed, t)).instance for t in range(3)]
         assert not np.array_equal(instances[0].A, instances[1].A)
         assert not np.array_equal(instances[1].A, instances[2].A)
-        # but deterministic for a fixed trial seed
-        again = cfg.objective_factory(RngStream(cfg.seed + 0)).instance
+        # but deterministic for a fixed (seed, trial)
+        again = cfg.objective_factory(RngStream(cfg.seed, 0)).instance
         np.testing.assert_array_equal(instances[0].A, again.A)
+        # and the next seed's trial 0 gets another instance
+        other = cfg.objective_factory(RngStream(cfg.seed + 1, 0)).instance
+        assert not np.array_equal(instances[0].A, other.A)
 
 
 class TestPhaseDiagrams:
-    def make_diagram(self, workers=1):
+    def make_diagram(self):
         return rastrigin_phase_diagram(
             [0.0, 1.0],
             [5, 10],
             sphere_config(
-                objective_factory=None,  # replaced by the sweep
                 params=CboParams(lambda1=1.0, sigma1=0.5, alpha=1e4, dt=0.1, kappa=10.0),
                 horizon_T=3.0,
                 trials=4,
             ),
-            workers=workers,
         )
 
     def test_shape_and_range(self):
@@ -238,10 +265,14 @@ class TestPhaseDiagrams:
         assert payload["config"]["params"]["lambda1"] == 1.0
         assert np.asarray(payload["cells"]).shape == (2, 2)
 
-    def test_worker_counts_bit_identical(self):
-        a, b = self.make_diagram(workers=1), self.make_diagram(workers=8)
-        np.testing.assert_array_equal(a.cells, b.cells)
-        assert a.to_csv() == b.to_csv()
+    def test_worker_counts_bit_identical(self, monkeypatch):
+        """Batch-split invariance: the diagram of batched cells equals the one
+        built from trial-at-a-time runs."""
+        batched = self.make_diagram()
+        monkeypatch.setattr(cbo.harness, "run_trials", trial_at_a_time)
+        alone = self.make_diagram()
+        np.testing.assert_array_equal(batched.cells, alone.cells)
+        assert batched.to_csv() == alone.to_csv()
 
     def test_sigma2_couplings(self):
         base = sphere_config(
