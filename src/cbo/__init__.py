@@ -35,12 +35,8 @@ from .objectives import (
     Objective,
     Rastrigin,
     Sphere,
-    cs_eval,
-    cs_grad,
     finite_diff_grad,
     generate_cs_instance,
-    rastrigin,
-    toy_stochastic_objective,
 )
 from .rng import RngStream
 from .theory import (

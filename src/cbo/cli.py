@@ -27,7 +27,7 @@ EXIT_RUNTIME = 2
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cbo")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep-rastrigin", "sweep-cs", "decay", "check-bounds", "gradcheck"):
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="YAML config file")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
@@ -44,7 +44,7 @@ def _write(text: str, out_path: str | None) -> None:
             f.write(text)
 
 
-def _cmd_run(cfg: ResolvedConfig, args) -> str:
+def _cmd_run(cfg: ResolvedConfig, args) -> tuple[str, int]:
     exp = cfg.build_experiment()
     rng = RngStream(exp.seed)
     problem = exp.objective_factory(rng)
@@ -54,8 +54,7 @@ def _cmd_run(cfg: ResolvedConfig, args) -> str:
     )
     result = run(
         ens, exp.params, exp.schedule, problem.objective,
-        StoppingRule(max_steps=exp.n_steps), rng,
-        x_star=problem.x_star, record=True, n_consensus=exp.n_consensus,
+        StoppingRule(max_steps=exp.n_steps), rng, n_consensus=exp.n_consensus,
     )
     payload = {
         "consensus": result.consensus.tolist(),
@@ -66,10 +65,10 @@ def _cmd_run(cfg: ResolvedConfig, args) -> str:
         payload["distance_to_minimizer"] = float(
             np.linalg.norm(result.consensus - problem.x_star)
         )
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2), EXIT_OK
 
 
-def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> str:
+def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
     sweep = cfg["sweep"]
     x_grid = sweep["x_grid"] or [0.0, 1.0, 2.0, 4.0]
     y_grid = sweep["y_grid"] or [10, 100]
@@ -78,10 +77,10 @@ def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> str:
         [float(v) for v in x_grid], [int(v) for v in y_grid], base,
         sigma2_coupling=sweep["sigma2_coupling"],
     )
-    return diagram.to_csv() if args.format == "csv" else diagram.to_json()
+    return (diagram.to_csv() if args.format == "csv" else diagram.to_json()), EXIT_OK
 
 
-def _cmd_sweep_cs(cfg: ResolvedConfig, args) -> str:
+def _cmd_sweep_cs(cfg: ResolvedConfig, args) -> tuple[str, int]:
     sweep = cfg["sweep"]
     cs = cfg["cs"]
     x_grid = sweep["x_grid"] or [0.0, 1.0]
@@ -92,10 +91,10 @@ def _cmd_sweep_cs(cfg: ResolvedConfig, args) -> str:
         {"d": cs["d"], "s": cs["s"], "mu": cs["mu"], "p": cs["p"]},
         base,
     )
-    return diagram.to_csv() if args.format == "csv" else diagram.to_json()
+    return (diagram.to_csv() if args.format == "csv" else diagram.to_json()), EXIT_OK
 
 
-def _cmd_decay(cfg: ResolvedConfig, args) -> str:
+def _cmd_decay(cfg: ResolvedConfig, args) -> tuple[str, int]:
     exp = cfg.build_experiment()
     theory = cfg["theory"]
     problem = exp.objective_factory(RngStream(exp.seed))
@@ -106,19 +105,20 @@ def _cmd_decay(cfg: ResolvedConfig, args) -> str:
         exp.n_particles, exp.horizon_T, theory["vartheta"],
         seed=exp.seed, eps=theory["eps"], init=exp.init,
     )
-    return report.to_json()
+    return report.to_json(), EXIT_OK
 
 
-def _cmd_check_bounds(cfg: ResolvedConfig, args) -> str:
+def _cmd_check_bounds(cfg: ResolvedConfig, args) -> tuple[str, int]:
     exp = cfg.build_experiment()
     theory = cfg["theory"]
     constants = cfg.build_constants()
     rates = chi_rates(exp.params, constants)
+    memoryless = chi_rates_memoryless(exp.params, constants)
     payload = {
         "chi1": rates.chi1,
         "chi2": rates.chi2,
-        "chi1_memoryless": chi_rates_memoryless(exp.params, constants).chi1,
-        "chi2_memoryless": chi_rates_memoryless(exp.params, constants).chi2,
+        "chi1_memoryless": memoryless.chi1,
+        "chi2_memoryless": memoryless.chi2,
     }
     if rates.chi1 > 0:
         horizon = time_horizon_star(1.0, theory["eps"], theory["vartheta"], rates.chi1, rates.chi2)
@@ -151,7 +151,7 @@ def _cmd_check_bounds(cfg: ResolvedConfig, args) -> str:
             holds += report.holds
         payload["laplace_cases"] = cases
         payload["laplace_holds"] = holds
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2), EXIT_OK
 
 
 def _cmd_gradcheck(cfg: ResolvedConfig, args) -> tuple[str, int]:
@@ -178,6 +178,17 @@ def _cmd_gradcheck(cfg: ResolvedConfig, args) -> tuple[str, int]:
     return payload, EXIT_OK if passed else EXIT_RUNTIME
 
 
+# command -> handler returning the output text and the exit code
+_COMMANDS = {
+    "run": _cmd_run,
+    "sweep-rastrigin": _cmd_sweep_rastrigin,
+    "sweep-cs": _cmd_sweep_cs,
+    "decay": _cmd_decay,
+    "check-bounds": _cmd_check_bounds,
+    "gradcheck": _cmd_gradcheck,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = _parser().parse_args(argv)
@@ -188,19 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     log.info("resolved configuration:\n%s", cfg.to_yaml())
     try:
-        code = EXIT_OK
-        if args.command == "run":
-            text = _cmd_run(cfg, args)
-        elif args.command == "sweep-rastrigin":
-            text = _cmd_sweep_rastrigin(cfg, args)
-        elif args.command == "sweep-cs":
-            text = _cmd_sweep_cs(cfg, args)
-        elif args.command == "decay":
-            text = _cmd_decay(cfg, args)
-        elif args.command == "check-bounds":
-            text = _cmd_check_bounds(cfg, args)
-        else:
-            text, code = _cmd_gradcheck(cfg, args)
+        text, code = _COMMANDS[args.command](cfg, args)
     except ConfigError as err:
         log.error("configuration error: %s", err)
         return EXIT_CONFIG

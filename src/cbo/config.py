@@ -6,18 +6,33 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+import numpy as np
 import yaml
 
 from .dynamics import CboParams, DiffusionType, InitSpec, Schedule
 from .harness import ExperimentConfig, SuccessRule, TrialProblem, cs_instance_factory
-from .objectives import Rastrigin, Sphere, toy_stochastic_objective
+from .objectives import Rastrigin, Sphere, ToyStochasticObjective
 from .theory import AssumptionConstants
 
 
 class ConfigError(ValueError):
     pass
+
+
+# config types of the dataclass field annotations; a diffusion type is
+# given by its name
+_FIELD_TYPES = {"float": float, "int": int, "str": str, "DiffusionType": str}
+
+
+def _dataclass_section(cls, **config_defaults) -> dict:
+    """Keys, types and defaults of the section mirroring dataclass ``cls``;
+    ``config_defaults`` are the defaults where the config's differ."""
+    return {
+        f.name: (_FIELD_TYPES[f.type], config_defaults.get(f.name, f.default))
+        for f in fields(cls)
+    }
 
 
 # section -> key -> (type, default); None default means "optional, absent"
@@ -27,25 +42,10 @@ _SCHEMA = {
         "dimension": (int, 4),
         "n_batches": (int, 1),
     },
-    "params": {
-        "lambda1": (float, 1.0),
-        "lambda2": (float, 0.0),
-        "lambda3": (float, 0.0),
-        "sigma1": (float, 0.0),
-        "sigma2": (float, 0.0),
-        "sigma3": (float, 0.0),
-        "alpha": (float, 100.0),
-        "beta": (float, math.inf),
-        "theta": (float, 0.0),
-        "kappa": (float, None),  # defaults to 1/dt
-        "dt": (float, 0.01),
-        "diffusion": (str, "anisotropic"),
-    },
-    "schedule": {
-        "alpha_rule": (str, "constant"),
-        "sigma_rule": (str, "constant"),
-        "epoch_length": (int, 100),
-    },
+    # kappa None means 1/dt
+    "params": _dataclass_section(CboParams, kappa=None, diffusion="anisotropic"),
+    "schedule": _dataclass_section(Schedule, epoch_length=100),
+    # the ExperimentConfig fields of the same names
     "experiment": {
         "n_particles": (int, 100),
         "horizon_T": (float, 20.0),
@@ -53,20 +53,8 @@ _SCHEMA = {
         "seed": (int, 0),
         "n_consensus": (int, None),
     },
-    "init": {
-        "kind": (str, "gaussian"),
-        "mean": (float, 0.0),
-        "std": (float, 1.0),
-        "low": (float, -1.0),
-        "high": (float, 1.0),
-    },
-    "success": {
-        "kind": (str, "consensus_near_minimizer"),
-        "threshold": (float, 0.25),
-        "norm": (str, "inf"),
-        "support_threshold": (float, 0.01),
-        "residual_tol": (float, 1e-4),
-    },
+    "init": _dataclass_section(InitSpec),
+    "success": _dataclass_section(SuccessRule),
     "sweep": {
         "x_grid": (list, None),
         "y_grid": (list, None),
@@ -160,24 +148,6 @@ class ResolvedConfig:
         except ValueError as err:
             raise ConfigError(str(err))
 
-    def build_schedule(self) -> Schedule:
-        try:
-            return Schedule(**self["schedule"])
-        except ValueError as err:
-            raise ConfigError(str(err))
-
-    def build_init(self) -> InitSpec:
-        try:
-            return InitSpec(**self["init"])
-        except ValueError as err:
-            raise ConfigError(str(err))
-
-    def build_success(self) -> SuccessRule:
-        try:
-            return SuccessRule(**self["success"])
-        except ValueError as err:
-            raise ConfigError(str(err))
-
     def build_constants(self) -> AssumptionConstants:
         t = self["theory"]
         try:
@@ -193,37 +163,29 @@ class ResolvedConfig:
         spec = self["objective"]
         kind = spec["kind"]
         d = spec["dimension"]
-        import numpy as np
-
-        origin = np.zeros(d)
-        if kind == "sphere":
-            obj = Sphere(d)
-            return lambda rng: TrialProblem(obj, x_star=origin)
-        if kind == "rastrigin":
-            obj = Rastrigin(d)
-            return lambda rng: TrialProblem(obj, x_star=origin)
-        if kind == "toy":
-            obj = toy_stochastic_objective(d, spec["n_batches"], seed=self["experiment"]["seed"])
-            return lambda rng: TrialProblem(obj, x_star=origin)
         if kind == "cs":
             cs = self["cs"]
             return cs_instance_factory(cs["d"], cs["m"], cs["s"], cs["mu"], cs["p"])
-        raise ConfigError(f"objective.kind: unknown objective {kind!r}")
+        if kind == "sphere":
+            obj = Sphere(d)
+        elif kind == "rastrigin":
+            obj = Rastrigin(d)
+        elif kind == "toy":
+            obj = ToyStochasticObjective(d, spec["n_batches"], seed=self["experiment"]["seed"])
+        else:
+            raise ConfigError(f"objective.kind: unknown objective {kind!r}")
+        origin = np.zeros(d)
+        return lambda rng: TrialProblem(obj, x_star=origin)
 
     def build_experiment(self) -> ExperimentConfig:
-        exp = self["experiment"]
         try:
             return ExperimentConfig(
                 objective_factory=self.objective_factory(),
                 params=self.build_params(),
-                schedule=self.build_schedule(),
-                n_particles=exp["n_particles"],
-                horizon_T=exp["horizon_T"],
-                trials=exp["trials"],
-                seed=exp["seed"],
-                success=self.build_success(),
-                init=self.build_init(),
-                n_consensus=exp["n_consensus"],
+                schedule=Schedule(**self["schedule"]),
+                success=SuccessRule(**self["success"]),
+                init=InitSpec(**self["init"]),
+                **self["experiment"],
             )
         except ValueError as err:
             raise ConfigError(str(err))

@@ -4,8 +4,10 @@ gradient drift (Euler-Maruyama scheme)."""
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,10 +123,6 @@ class Ensemble:
     def d(self) -> int:
         return self.positions.shape[-1]
 
-    @property
-    def time(self) -> float:
-        return self.step_index * self.dt
-
     def copy(self) -> "Ensemble":
         return Ensemble(
             self.positions.copy(),
@@ -188,6 +186,43 @@ class RunResult:
     consensus: np.ndarray
     n_steps: int
     diagnostics: dict = field(default_factory=dict)
+
+
+class LyapunovValue(NamedTuple):
+    """The Lyapunov functional of an empirical ensemble, one value per trial."""
+
+    total: float | np.ndarray
+    position_part: float | np.ndarray  # (1/2N) sum ||X_i - x*||^2
+    memory_part: float | np.ndarray  # (1/2N) sum ||Y_i - X_i||^2
+
+
+def _mean_sq(diff: np.ndarray) -> np.ndarray:
+    """Mean over the particle axis of the squared norms of (..., N, d) rows."""
+    return np.einsum("...ij,...ij->...i", diff, diff).mean(axis=-1)
+
+
+def lyapunov_V(ens: Ensemble, x_star: np.ndarray) -> LyapunovValue:
+    x_star = np.asarray(x_star, dtype=float)
+    xp = 0.5 * _mean_sq(ens.positions - x_star)
+    yp = 0.5 * _mean_sq(ens.memories - ens.positions)
+    return LyapunovValue(xp + yp, xp, yp)
+
+
+def wasserstein2_to_dirac(
+    ens: Ensemble, x_star: np.ndarray, lyapunov: LyapunovValue | None = None
+) -> float | np.ndarray:
+    """Squared Wasserstein-2 distance of the empirical pair measure to the
+    Dirac at (x*, x*), one value per trial.
+
+    Its position term is twice the position part of V; passing the
+    ensemble's ``lyapunov_V`` reuses it, with the same result, since doubling
+    is exact."""
+    x_star = np.asarray(x_star, dtype=float)
+    if lyapunov is None:
+        sq_x = _mean_sq(ens.positions - x_star)
+    else:
+        sq_x = 2.0 * lyapunov.position_part
+    return sq_x + _mean_sq(ens.memories - x_star)
 
 
 def consensus_point(points, energies, alpha, subset=None) -> np.ndarray:
@@ -385,15 +420,22 @@ def init_ensemble(
     batch: int | np.ndarray | None = None,
 ) -> Ensemble:
     """n particles in d dimensions drawn from ``init``, one ensemble per
-    trial of ``rng`` (a trial axis when ``rng`` covers a batch)."""
+    trial of ``rng`` (a trial axis when ``rng`` covers a batch).
+
+    Raises ValueError, naming the trials, when the objective is not finite
+    at some initial position: the consensus weights need finite energies."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if init.kind == "gaussian":
         x = init.mean + init.std * rng.gaussians(CHANNEL_INIT, n, d)
     else:
         x = rng.draw(CHANNEL_INIT, lambda gen: gen.uniform(init.low, init.high, size=(n, d)))
-    energies = objective.values(x, batch)
-    return Ensemble(x, x.copy(), np.asarray(energies, dtype=float), 0, dt)
+    energies = np.asarray(objective.values(x, batch), dtype=float)
+    finite = np.isfinite(energies).all(axis=-1).reshape(-1)
+    if not finite.all():
+        bad = [t for t, ok in zip(rng.trials, finite) if not ok]
+        raise ValueError(f"objective is not finite at the initial positions of trial(s) {bad}")
+    return Ensemble(x, x.copy(), energies, 0, dt)
 
 
 def run(
@@ -422,26 +464,14 @@ def run(
     collected (requires ``x_star`` for the distance track), one value per
     trial."""
     ens = initial
-    diagnostics: dict = {}
-    if record:
-        diagnostics = {"time": [], "memory_energy_max": []}
-        if x_star is not None:
-            diagnostics["lyapunov"] = []
-            diagnostics["w2_to_dirac"] = []
-            diagnostics["consensus_dist"] = []
+    diagnostics = defaultdict(list)
 
     def snapshot(e: Ensemble, p: CboParams):
         diagnostics["time"].append(e.step_index * params.dt)
         if x_star is not None:
-            dx = e.positions - x_star
-            dm = e.memories - e.positions
-            dy = e.memories - x_star
-            sq_x = np.einsum("...ij,...ij->...i", dx, dx).mean(axis=-1)
-            v = 0.5 * (sq_x + np.einsum("...ij,...ij->...i", dm, dm).mean(axis=-1))
-            diagnostics["lyapunov"].append(v)
-            diagnostics["w2_to_dirac"].append(
-                sq_x + np.einsum("...ij,...ij->...i", dy, dy).mean(axis=-1)
-            )
+            v = lyapunov_V(e, x_star)
+            diagnostics["lyapunov"].append(v.total)
+            diagnostics["w2_to_dirac"].append(wasserstein2_to_dirac(e, x_star, v))
             y_alpha = consensus_point(e.memories, e.memory_energies, p.alpha)
             diagnostics["consensus_dist"].append(np.linalg.norm(y_alpha - x_star, axis=-1))
         diagnostics["memory_energy_max"].append(e.memory_energies.max(axis=-1))
@@ -478,6 +508,5 @@ def run(
     if ens.active.any():
         last = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)
         consensus = np.where(ens.active[..., None], last, consensus)
-    if record:
-        diagnostics = {key: np.asarray(val) for key, val in diagnostics.items()}
+    diagnostics = {key: np.asarray(val) for key, val in diagnostics.items()}
     return RunResult(ens, consensus, realized, diagnostics)

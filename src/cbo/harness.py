@@ -8,7 +8,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,7 +81,6 @@ class ExperimentConfig:
     schedule: Schedule = Schedule()
     init: InitSpec = InitSpec()
     n_consensus: int | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         steps = self.horizon_T / self.params.dt
@@ -127,20 +126,25 @@ class TrialSummary:
         )
 
     def to_csv(self, x_param: str = "", x_value="", y_param: str = "", y_value="") -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(CSV_HEADER)
-        w.writerow(
-            [x_param, x_value, y_param, y_value, self.probability, self.ci_low,
-             self.ci_high, self.trials, self.failures]
+        return _to_csv(
+            [[x_param, x_value, y_param, y_value, self.probability, self.ci_low,
+              self.ci_high, self.trials, self.failures]]
         )
-        return buf.getvalue()
 
 
 CSV_HEADER = [
     "x_param", "x_value", "y_param", "y_value",
     "success_prob", "ci_low", "ci_high", "trials", "failures",
 ]
+
+
+def _to_csv(rows) -> str:
+    """CSV text of ``rows`` under :data:`CSV_HEADER`, one row per cell."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(CSV_HEADER)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -258,17 +262,12 @@ class PhaseDiagram:
     provenance: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(CSV_HEADER)
-        for j, yv in enumerate(self.y_grid):
-            for i, xv in enumerate(self.x_grid):
-                w.writerow(
-                    [self.x_param, xv, self.y_param, yv, self.cells[j, i],
-                     self.ci_low[j, i], self.ci_high[j, i], self.trials_per_cell,
-                     int(self.failures[j, i])]
-                )
-        return buf.getvalue()
+        return _to_csv(
+            [self.x_param, xv, self.y_param, yv, self.cells[j, i], self.ci_low[j, i],
+             self.ci_high[j, i], self.trials_per_cell, int(self.failures[j, i])]
+            for j, yv in enumerate(self.y_grid)
+            for i, xv in enumerate(self.x_grid)
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -427,9 +426,7 @@ class DecayReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "rate": self.fit.rate,
-                "intercept": self.fit.intercept,
-                "r_squared": self.fit.r_squared,
+                **asdict(self.fit),
                 "chi1": self.chi1,
                 "chi2": self.chi2,
                 "bracket": list(self.bracket),
@@ -471,8 +468,6 @@ def decay_experiment(
         times, values = times[:cut], values[:cut]
     if values.size < 3 or np.any(values <= 0):
         fit = DecayFit(rate=0.0, intercept=0.0, r_squared=0.0)
-        if values.size >= 3 and np.all(values > 0):
-            fit = fit_exponential_rate(times, values)
     else:
         fit = fit_exponential_rate(times, values)
     lower = (1.0 - vartheta) * rates.chi1
@@ -492,22 +487,13 @@ def _config_provenance(config: ExperimentConfig) -> dict:
     p = config.params
     return {
         "params": {
-            "lambda1": p.lambda1, "lambda2": p.lambda2, "lambda3": p.lambda3,
-            "sigma1": p.sigma1, "sigma2": p.sigma2, "sigma3": p.sigma3,
-            "alpha": p.alpha, "beta": p.beta if math.isfinite(p.beta) else "inf",
-            "theta": p.theta, "kappa": p.kappa, "dt": p.dt,
+            **asdict(p),
+            "beta": p.beta if math.isfinite(p.beta) else "inf",
             "diffusion": p.diffusion.value,
         },
         "n_particles": config.n_particles,
         "horizon_T": config.horizon_T,
         "trials": config.trials,
         "seed": config.seed,
-        "success": {
-            "kind": config.success.kind,
-            "threshold": config.success.threshold,
-            "norm": config.success.norm,
-            "support_threshold": config.success.support_threshold,
-            "residual_tol": config.success.residual_tol,
-        },
-        **config.meta,
+        "success": asdict(config.success),
     }

@@ -14,9 +14,9 @@ from .rng import CHANNEL_INSTANCE, RngStream
 class Objective:
     """Evaluation interface for the particle dynamics.
 
-    Subclasses must set ``dimension`` and implement ``values``, which maps
-    points of shape (..., N, d) to energies of shape (..., N); leading axes
-    are the trials of a batch.  A batched objective exposes ``n_batches > 1``
+    Subclasses set ``dimension`` (or take it through this constructor) and
+    implement ``values``, which maps points of shape (..., N, d) to energies
+    of shape (..., N); leading axes are the trials of a batch.  A batched objective exposes ``n_batches > 1``
     and interprets the ``batch`` argument, one mini-batch index per trial;
     non-batched objectives ignore it.  ``gradients`` is optional and only
     required when a gradient drift or gradient noise term is active.
@@ -25,6 +25,9 @@ class Objective:
     dimension: int
     n_batches: int = 1
     has_gradient: bool = False
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
 
     @classmethod
     def stack(cls, objectives: list["Objective"]) -> "Objective":
@@ -77,9 +80,6 @@ class Sphere(Objective):
 
     has_gradient = True
 
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-
     def values(self, points, batch=None):
         return np.einsum("...j,...j->...", points, points)
 
@@ -92,24 +92,11 @@ class Rastrigin(Objective):
 
     has_gradient = True
 
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-
     def values(self, points, batch=None):
         return np.sum(points**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * points)), axis=-1)
 
     def gradients(self, points, batch=None):
         return 2.0 * points + 5.0 * np.pi * np.sin(2.0 * np.pi * points)
-
-
-def rastrigin(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(x**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * x))))
-
-
-def rastrigin_grad(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return 2.0 * x + 5.0 * np.pi * np.sin(2.0 * np.pi * x)
 
 
 @dataclass
@@ -163,36 +150,15 @@ class CsInstance:
         return cls(A=A, b=b, mu=mu, p=p, ground_truth=gt, sparsity=s or None)
 
 
-def cs_eval(inst: CsInstance, x: np.ndarray) -> float:
-    """E(x) = 1/2 ||Ax - b||^2 + mu ||x||_p^p."""
-    x = np.asarray(x, dtype=float)
-    residual = inst.A @ x - inst.b
-    return float(0.5 * residual @ residual + inst.mu * np.sum(np.abs(x) ** inst.p))
-
-
-def cs_grad(inst: CsInstance, x: np.ndarray, smoothing_eps: float = 1e-8) -> np.ndarray:
-    """Gradient (subgradient for p=1, smoothed for p=1/2) of cs_eval.
-
-    sign(0) = 0 for p=1; for p<1 the singular factor |x|^(p-1) is capped by
-    adding smoothing_eps inside, with gradient 0 at exactly 0 when eps=0.
-    """
-    x = np.asarray(x, dtype=float)
-    g = inst.A.T @ (inst.A @ x - inst.b)
-    if inst.mu != 0:
-        if inst.p == 1.0:
-            g = g + inst.mu * np.sign(x)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reg = np.sign(x) * inst.p * (np.abs(x) + smoothing_eps) ** (inst.p - 1.0)
-            if smoothing_eps == 0.0:
-                reg = np.where(x == 0.0, 0.0, reg)
-            g = g + inst.mu * reg
-    return g
-
-
 class CsObjective(Objective):
-    """Objective view of a CsInstance for the particle dynamics.  Stacked
-    over a batch of trials, ``A`` has shape (M, m, d) and ``b`` (M, m)."""
+    """E(x) = 1/2 ||Ax - b||^2 + mu ||x||_p^p of a CsInstance, for the
+    particle dynamics.  Stacked over a batch of trials, ``A`` has shape
+    (M, m, d) and ``b`` (M, m).
+
+    The gradient is a subgradient for p=1, with sign(0) = 0; for p=1/2 the
+    singular factor |x|^(p-1) is capped by adding ``smoothing_eps`` inside,
+    with gradient 0 at exactly 0 when ``smoothing_eps`` is 0.
+    """
 
     has_gradient = True
 
@@ -301,6 +267,3 @@ class ToyStochasticObjective(Objective):
     def gradients(self, points, batch=None):
         return 2.0 * self._offsets(points, batch)
 
-
-def toy_stochastic_objective(d: int, n_batches: int, seed: int = 0) -> ToyStochasticObjective:
-    return ToyStochasticObjective(d, n_batches, seed=seed)

@@ -1,18 +1,24 @@
-"""Convergence-rate machinery: decay rates, Lyapunov functional, time
-horizon, the quantitative Laplace bound, the mollifier and the
-probability-mass decay rate.  All quantities are evaluated on empirical
-ensembles standing in for the mean-field law."""
+"""Convergence-rate machinery: decay rates, time horizon, the quantitative
+Laplace bound, the mollifier and the probability-mass decay rate.  All
+quantities are evaluated on empirical ensembles standing in for the
+mean-field law.  The Lyapunov functional and the W2 distance to the Dirac
+are defined in :mod:`cbo.dynamics`, which records them along a run."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import CboParams, Ensemble, consensus_point
+from .dynamics import (  # noqa: F401  (re-exported functionals)
+    CboParams,
+    LyapunovValue,
+    consensus_point,
+    lyapunov_V,
+    wasserstein2_to_dirac,
+)
 
 
 @dataclass(frozen=True)
@@ -48,18 +54,12 @@ class DecayFit:
     intercept: float
     r_squared: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 @dataclass(frozen=True)
 class BoundReport:
     lhs: float
     rhs: float
     holds: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _grad_constant(params: CboParams, constants: AssumptionConstants) -> float:
@@ -120,32 +120,6 @@ def time_horizon_star(
     if chi2 is not None:
         t_lower = (1.0 - vartheta) * chi1 / ((1.0 + vartheta / 2.0) * chi2) * t_star
     return TimeHorizon(t_star, t_lower)
-
-
-class LyapunovValue(NamedTuple):
-    total: float
-    position_part: float  # (1/2N) sum ||X_i - x*||^2
-    memory_part: float  # (1/2N) sum ||Y_i - X_i||^2
-
-
-def lyapunov_V(ens: Ensemble, x_star: np.ndarray) -> LyapunovValue:
-    x_star = np.asarray(x_star, dtype=float)
-    dx = ens.positions - x_star
-    dy = ens.memories - ens.positions
-    xp = 0.5 * float(np.einsum("ij,ij->i", dx, dx).mean())
-    yp = 0.5 * float(np.einsum("ij,ij->i", dy, dy).mean())
-    return LyapunovValue(xp + yp, xp, yp)
-
-
-def wasserstein2_to_dirac(ens: Ensemble, x_star: np.ndarray) -> float:
-    """Squared Wasserstein-2 distance of the empirical pair measure to the
-    Dirac at (x*, x*)."""
-    x_star = np.asarray(x_star, dtype=float)
-    dx = ens.positions - x_star
-    dy = ens.memories - x_star
-    return float(
-        np.einsum("ij,ij->i", dx, dx).mean() + np.einsum("ij,ij->i", dy, dy).mean()
-    )
 
 
 def laplace_bound(
@@ -241,30 +215,21 @@ def mass_decay_rate_p(
             raise ValueError(
                 f"hypothesis violated: sigma{i} > 0 iff lambda{i} != 0 is required"
             )
-    c_grad = constants.C_grad if constants.C_grad is not None else 0.0
-    if params.lambda3 > 0 and constants.C_grad is None:
-        raise ValueError("C_grad required when lambda3 > 0")
-    c_ups = upsilon_constant(r, B, d, c_grad)
+    c_ups = upsilon_constant(r, B, d, _grad_constant(params, constants))
     c_tilde = 2.0 * c - 1.0
     half_r = r / 2.0
     total = 0.0
     for i, (lam, sig) in enumerate(zip(lambdas, sigmas), start=1):
         if lam <= 0:
             continue
-        if i in (1, 3):
-            term = 2.0 * (
-                2.0 * lam * c_ups * math.sqrt(c) / ((1.0 - c) ** 2 * half_r)
-                + sig**2 * c_ups**2 / ((1.0 - c) ** 4 * half_r**2)
-                + 4.0 * lam**2 / (c_tilde * sig**2)
-            )
-        else:
-            term = (
-                2.0 * lam * c_ups * math.sqrt(c) / ((1.0 - c) ** 2 * half_r)
-                + sig**2 * c_ups**2 / ((1.0 - c) ** 4 * half_r**2)
-                + 4.0 * lam**2 / (c_tilde * sig**2)
-                + sig**2 * c / (1.0 - c) ** 4
-            )
-        total += term
+        term = (
+            2.0 * lam * c_ups * math.sqrt(c) / ((1.0 - c) ** 2 * half_r)
+            + sig**2 * c_ups**2 / ((1.0 - c) ** 4 * half_r**2)
+            + 4.0 * lam**2 / (c_tilde * sig**2)
+        )
+        # the consensus and gradient terms count twice, the memory term has
+        # one more diffusion part
+        total += 2.0 * term if i in (1, 3) else term + sig**2 * c / (1.0 - c) ** 4
     return d * total
 
 

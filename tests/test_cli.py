@@ -8,10 +8,14 @@ from pathlib import Path
 import pytest
 import yaml
 
+import numpy as np
+
 from cbo import harness
 from cbo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from cbo.config import ConfigError, load_config, resolve
-from cbo.objectives import Rastrigin
+from cbo.dynamics import CboParams, InitSpec, Schedule
+from cbo.harness import SuccessRule
+from cbo.objectives import Rastrigin, Sphere
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,6 +46,13 @@ class TestConfigResolution:
         assert cfg["experiment"]["horizon_T"] == 20.0
         # kappa defaults to 1/dt at build time
         assert cfg.build_params().kappa == pytest.approx(100.0)
+
+    def test_build_experiment_defaults(self):
+        exp = resolve({}).build_experiment()
+        assert exp.params == CboParams()
+        assert exp.init == InitSpec()
+        assert exp.success == SuccessRule()
+        assert exp.schedule == Schedule(epoch_length=100)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown config section"):
@@ -148,6 +159,20 @@ class TestRunCommand:
         )
         assert main(["run", "--config", path]) == EXIT_RUNTIME
 
+    def test_nonfinite_initial_energies_exit_runtime(self, tmp_path, monkeypatch, caplog):
+        # +inf outside the box |x| < 1, which Gaussian initial positions leave
+        monkeypatch.setattr(
+            Sphere, "values",
+            lambda self, points, batch=None: np.where(
+                np.abs(points).max(axis=-1) < 1.0, 0.0, np.inf
+            ),
+        )
+        out = tmp_path / "result.json"
+        code = main(["run", "--config", quick_run_config(tmp_path), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert "not finite at the initial positions of trial(s) [0]" in caplog.text
+        assert not out.exists()
+
 
 class TestSweepCommands:
     def sweep_config(self, tmp_path):
@@ -190,6 +215,31 @@ class TestSweepCommands:
                          "--out", str(out)]) == EXIT_OK
             files.append(out.read_bytes())
         assert files[0] == files[1]
+
+    def test_sweep_json_config_block(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert main(["sweep-rastrigin", "--config", self.sweep_config(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        expected = {
+            "experiment": "rastrigin",
+            "sigma2_coupling": "zero",
+            "params": {
+                "lambda1": 1.0, "lambda2": 0.0, "lambda3": 0.0,
+                "sigma1": 0.5, "sigma2": 0.0, "sigma3": 0.0,
+                "alpha": 1.0e4, "beta": "inf", "theta": 0.0, "kappa": 10.0, "dt": 0.1,
+                "diffusion": "anisotropic",
+            },
+            "n_particles": 10,
+            "horizon_T": 2.0,
+            "trials": 3,
+            "seed": 0,
+            "success": {
+                "kind": "consensus_near_minimizer", "threshold": 0.25, "norm": "inf",
+                "support_threshold": 0.01, "residual_tol": 1e-4,
+            },
+        }
+        # key order included
+        assert json.dumps(json.loads(out.read_text())["config"]) == json.dumps(expected)
 
     def test_programming_error_exits_runtime(self, tmp_path, monkeypatch):
         def broken(self, points, batch=None):

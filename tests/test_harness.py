@@ -26,7 +26,7 @@ from cbo.harness import (
 )
 import cbo.harness
 from cbo.objectives import CsInstance, FunctionObjective, Sphere, generate_cs_instance
-from cbo.rng import RngStream
+from cbo.rng import CHANNEL_INIT, RngStream
 from cbo.theory import AssumptionConstants
 
 SPHERE_CONSTANTS = AssumptionConstants(eta=1.0, nu=0.5, R0=1.0, E_inf=100.0, C_grad=2.0)
@@ -127,6 +127,25 @@ class TestRunTrials:
                 assert batched.consensus is None
             else:
                 assert batched.consensus.tobytes() == alone.consensus.tobytes()
+
+    def test_nonfinite_initial_energies_name_the_trials(self):
+        # +inf outside the box |x| < 2.5, which Gaussian initial positions may leave
+        box = FunctionObjective(
+            lambda x: np.where(np.abs(x).max(axis=-1) < 2.5, 0.0, np.inf), 2
+        )
+        cfg = sphere_config(
+            objective_factory=lambda rng: TrialProblem(box, x_star=np.zeros(2)), trials=8
+        )
+        outside = [
+            t for t in range(cfg.trials)
+            if np.abs(RngStream(cfg.seed, t).gaussians(CHANNEL_INIT, 20, 2)).max() >= 2.5
+        ]
+        assert 0 < len(outside) < cfg.trials
+        with pytest.raises(ValueError) as err:
+            run_trials(cfg)
+        assert str(err.value) == (
+            f"objective is not finite at the initial positions of trial(s) {outside}"
+        )
 
     def test_programming_errors_propagate(self):
         # an objective reducing over an axis the points do not have

@@ -13,15 +13,11 @@ from cbo.objectives import (
     Rastrigin,
     Sphere,
     ToyStochasticObjective,
-    cs_eval,
-    cs_grad,
     finite_diff_grad,
     generate_cs_instance,
-    rastrigin,
-    rastrigin_grad,
-    toy_stochastic_objective,
 )
 from cbo.rng import RngStream
+from oracles import cs_eval, cs_grad, rastrigin, rastrigin_grad
 
 
 class TestRastrigin:
@@ -111,7 +107,7 @@ class TestCsEval:
 class TestCsGrad:
     def test_p1_sign_zero_convention(self):
         inst = CsInstance(A=np.eye(2), b=np.zeros(2), mu=1.0, p=1.0)
-        g = cs_grad(inst, np.array([0.0, 2.0]))
+        g = CsObjective(inst).grad(np.array([0.0, 2.0]))
         np.testing.assert_allclose(g, [0.0, 3.0])
 
     def test_p1_matches_finite_differences_away_from_zeros(self):
@@ -122,7 +118,7 @@ class TestCsGrad:
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1  # keep away from the kink
             np.testing.assert_allclose(
-                cs_grad(inst, x), finite_diff_grad(obj, x), rtol=1e-5, atol=1e-6
+                obj.grad(x), finite_diff_grad(obj, x), rtol=1e-5, atol=1e-6
             )
 
     def test_p_half_matches_finite_differences(self):
@@ -133,7 +129,7 @@ class TestCsGrad:
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1
             np.testing.assert_allclose(
-                cs_grad(inst, x, smoothing_eps=0.0),
+                obj.grad(x),
                 finite_diff_grad(obj, x, h=1e-7),
                 rtol=1e-5,
                 atol=1e-5,
@@ -141,17 +137,19 @@ class TestCsGrad:
 
     def test_p_half_zero_stays_finite(self):
         inst = CsInstance(A=np.eye(2), b=np.zeros(2), mu=1.0, p=0.5)
-        g = cs_grad(inst, np.zeros(2), smoothing_eps=0.0)
+        g = CsObjective(inst, smoothing_eps=0.0).grad(np.zeros(2))
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(g, 0.0)
 
     def test_objective_gradients_match_scalar(self):
-        inst = generate_cs_instance(6, 4, 2, 0.2, 0.5, RngStream(4))
-        obj = CsObjective(inst)
         pts = np.random.Generator(np.random.PCG64(3)).standard_normal((10, 6))
-        np.testing.assert_allclose(
-            obj.gradients(pts), [cs_grad(inst, x) for x in pts], rtol=1e-12
-        )
+        pts[0, :2] = 0.0  # the sign(0) and smoothing conventions
+        for p, eps in ((0.5, 1e-8), (0.5, 0.0), (1.0, 1e-8)):
+            inst = generate_cs_instance(6, 4, 2, 0.2, p, RngStream(4))
+            obj = CsObjective(inst, smoothing_eps=eps)
+            np.testing.assert_allclose(
+                obj.gradients(pts), [cs_grad(inst, x, eps) for x in pts], rtol=1e-12
+            )
 
 
 class TestGenerateCsInstance:
@@ -204,12 +202,12 @@ class TestFiniteDiffGrad:
 
 class TestToyStochasticObjective:
     def test_batch_centers_average_to_zero(self):
-        obj = toy_stochastic_objective(4, 6)
+        obj = ToyStochasticObjective(4, 6)
         np.testing.assert_allclose(obj.centers.mean(axis=0), 0.0, atol=1e-14)
         assert obj.n_batches == 6
 
     def test_full_data_minimizer_is_origin(self):
-        obj = toy_stochastic_objective(3, 5)
+        obj = ToyStochasticObjective(3, 5)
         gen = np.random.Generator(np.random.PCG64(0))
         pts = gen.standard_normal((50, 3))
         avg = np.mean([obj.values(pts, batch=k) for k in range(5)], axis=0)
@@ -226,7 +224,7 @@ class TestToyStochasticObjective:
             np.testing.assert_allclose(obj.gradients(x[None], batch=k)[0], fd, rtol=1e-6)
 
     def test_single_batch_is_plain_sphere(self):
-        obj = toy_stochastic_objective(2, 1)
+        obj = ToyStochasticObjective(2, 1)
         pts = np.array([[1.0, 2.0]])
         assert obj.values(pts)[0] == pytest.approx(5.0)
 

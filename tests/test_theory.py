@@ -155,6 +155,32 @@ class TestWasserstein:
             assert w2 <= 6.0 * lyapunov_V(ens, xs).total + 1e-12
 
 
+class TestBatchedFunctionals:
+    def test_per_trial_naive_double_loop_oracle(self):
+        gen = np.random.Generator(np.random.PCG64(3))
+        m, n, d = 4, 7, 3
+        X = gen.standard_normal((m, n, d))
+        Y = gen.standard_normal((m, n, d))
+        xs = gen.standard_normal(d)
+        ens = Ensemble(X, Y, np.zeros((m, n)), 0, 0.01)
+        v = lyapunov_V(ens, xs)
+        w2 = wasserstein2_to_dirac(ens, xs)
+        assert v.total.shape == v.position_part.shape == w2.shape == (m,)
+        for t in range(m):
+            pos = sum(np.dot(X[t, i] - xs, X[t, i] - xs) for i in range(n)) / (2 * n)
+            mem = sum(np.dot(Y[t, i] - X[t, i], Y[t, i] - X[t, i]) for i in range(n)) / (2 * n)
+            dirac = sum(
+                np.dot(X[t, i] - xs, X[t, i] - xs) + np.dot(Y[t, i] - xs, Y[t, i] - xs)
+                for i in range(n)
+            ) / n
+            assert v.position_part[t] == pytest.approx(pos, rel=1e-12)
+            assert v.memory_part[t] == pytest.approx(mem, rel=1e-12)
+            assert v.total[t] == pytest.approx(pos + mem, rel=1e-12)
+            assert w2[t] == pytest.approx(dirac, rel=1e-12)
+        # reusing V's position part gives the same bits
+        np.testing.assert_array_equal(wasserstein2_to_dirac(ens, xs, v), w2)
+
+
 def sphere_laplace_case(gen):
     """A random admissible empirical measure for the squared-norm objective."""
     d = int(gen.integers(1, 6))
