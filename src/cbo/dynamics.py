@@ -3,7 +3,9 @@ gradient drift (Euler-Maruyama scheme)."""
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -21,6 +23,30 @@ from .rng import (
     CHANNEL_SUBSET,
     RngStream,
 )
+
+
+def _keep_freed_heap() -> None:
+    """Stop glibc from handing the heap top back to the OS after every step.
+
+    A step allocates and frees several (..., N, d) temporaries.  At 64-128 KB
+    each (a 3 x 100 x 50 sparse-recovery batch) they sit just under glibc's
+    initial 128 KB mmap threshold, so whether a step trims the heap and the
+    next one faults the pages back in depends on where unrelated long-lived
+    allocations happen to lie: 0 or ~35-70 minor faults per step, up to 30%
+    of such a cell's time.  The values set are the caps that glibc's own
+    adaptive thresholds reach on 64-bit hosts."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # a C library without mallopt
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
+_keep_freed_heap()
 
 
 class DivergedError(RuntimeError):
@@ -197,8 +223,11 @@ class LyapunovValue(NamedTuple):
 
 
 def _mean_sq(diff: np.ndarray) -> np.ndarray:
-    """Mean over the particle axis of the squared norms of (..., N, d) rows."""
-    return np.einsum("...ij,...ij->...i", diff, diff).mean(axis=-1)
+    """Mean over the particle axis of the squared norms of (..., N, d) rows.
+
+    The sum over N divided by N is the arithmetic ``ndarray.mean`` does,
+    bit for bit, without its Python-level dispatch."""
+    return np.einsum("...ij,...ij->...i", diff, diff).sum(axis=-1) / diff.shape[-2]
 
 
 def lyapunov_V(ens: Ensemble, x_star: np.ndarray) -> LyapunovValue:
@@ -340,9 +369,12 @@ def step(
             )
         y_alpha = consensus_point(y, e_y, params.alpha, subset)[..., None, :]
 
-        drift = params.lambda1 * (x - y_alpha)
+        # each difference feeds a drift term and a noise term: computed once
+        x_ya = x - y_alpha
+        drift = params.lambda1 * x_ya
+        x_y = x - y if params.lambda2 != 0.0 or params.sigma2 != 0.0 else None
         if params.lambda2 != 0.0:
-            drift = drift + params.lambda2 * (x - y)
+            drift = drift + params.lambda2 * x_y
         grads = None
         if params.lambda3 != 0.0 or params.sigma3 != 0.0:
             grads = objective.gradients(x, batch)
@@ -353,10 +385,10 @@ def step(
         sqrt_dt = math.sqrt(dt)
         if params.sigma1 != 0.0:
             z = rng.gaussians(CHANNEL_CONSENSUS, ens.n, ens.d)
-            x_new = x_new + params.sigma1 * sqrt_dt * _diffusion_noise(x - y_alpha, z, params.diffusion)
+            x_new = x_new + params.sigma1 * sqrt_dt * _diffusion_noise(x_ya, z, params.diffusion)
         if params.sigma2 != 0.0:
             z = rng.gaussians(CHANNEL_MEMORY, ens.n, ens.d)
-            x_new = x_new + params.sigma2 * sqrt_dt * _diffusion_noise(x - y, z, params.diffusion)
+            x_new = x_new + params.sigma2 * sqrt_dt * _diffusion_noise(x_y, z, params.diffusion)
         if params.sigma3 != 0.0:
             z = rng.gaussians(CHANNEL_GRADIENT, ens.n, ens.d)
             x_new = x_new + params.sigma3 * sqrt_dt * _diffusion_noise(grads, z, params.diffusion)
@@ -446,7 +478,6 @@ def run(
     stop: StoppingRule,
     rng: RngStream,
     x_star: np.ndarray | None = None,
-    record: bool = False,
     n_consensus: int | None = None,
 ) -> RunResult:
     """Iterate ``step`` up to stop.max_steps, applying the schedule at epoch
@@ -460,26 +491,25 @@ def run(
     memory energies cached by that step, which under mini-batching are the
     energies on that step's batch; it is NaN for a diverged trial.
 
-    With ``record`` the per-step Lyapunov / distance diagnostics are
-    collected (requires ``x_star`` for the distance track), one value per
-    trial."""
+    Given the minimizer ``x_star``, the run records three tracks in
+    ``diagnostics``, at the initial state and after every step: ``time``,
+    ``lyapunov`` (the total of ``lyapunov_V``) and ``w2_to_dirac``, one value
+    per trial.  Without it nothing is recorded and ``diagnostics`` is
+    empty."""
     ens = initial
     diagnostics = defaultdict(list)
 
-    def snapshot(e: Ensemble, p: CboParams):
+    def snapshot(e: Ensemble):
+        v = lyapunov_V(e, x_star)
         diagnostics["time"].append(e.step_index * params.dt)
-        if x_star is not None:
-            v = lyapunov_V(e, x_star)
-            diagnostics["lyapunov"].append(v.total)
-            diagnostics["w2_to_dirac"].append(wasserstein2_to_dirac(e, x_star, v))
-            y_alpha = consensus_point(e.memories, e.memory_energies, p.alpha)
-            diagnostics["consensus_dist"].append(np.linalg.norm(y_alpha - x_star, axis=-1))
-        diagnostics["memory_energy_max"].append(e.memory_energies.max(axis=-1))
+        diagnostics["lyapunov"].append(v.total)
+        diagnostics["w2_to_dirac"].append(wasserstein2_to_dirac(e, x_star, v))
+
+    record = x_star is not None
+    if record:
+        snapshot(ens)
 
     step_params = schedule.params_at(params, ens.step_index)
-    if record:
-        snapshot(ens, step_params)
-
     consensus = np.full(ens.batch_shape + (ens.d,), np.nan)
     prev_consensus = None
     realized = 0
@@ -494,7 +524,7 @@ def run(
         step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
         realized += 1
         if record:
-            snapshot(ens, step_params)
+            snapshot(ens)
         if stop.consensus_tol is not None:
             cur = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)
             if prev_consensus is not None:

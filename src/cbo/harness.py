@@ -200,10 +200,14 @@ def _score(problem: TrialProblem, consensus: np.ndarray, rule: SuccessRule) -> t
     return res.success, res.reason
 
 
-def _run_outcomes(config: ExperimentConfig, trials: int | Sequence[int]) -> list[TrialOutcome]:
-    """Outcomes of one trial (``trials`` an int) or of a batch of trials run
-    as one array program; each trial draws only from its own streams, so its
-    outcome is the same in any batch."""
+def _final_consensus(
+    config: ExperimentConfig, trials: int | Sequence[int]
+) -> tuple[RngStream, list[TrialProblem], np.ndarray, np.ndarray]:
+    """Run one trial (``trials`` an int) or a batch of trials as one array
+    program.  Returns the run's stream, each trial's problem, the step at
+    which it diverged (-1: it did not) and its final consensus, one row per
+    trial; each trial draws only from its own streams, so its row is the
+    same in any batch."""
     rng = RngStream(config.seed, trials)
     problems = [config.objective_factory(rng.for_trial(t)) for t in rng.trials]
     objective = problems[0].objective
@@ -220,19 +224,24 @@ def _run_outcomes(config: ExperimentConfig, trials: int | Sequence[int]) -> list
             n_consensus=config.n_consensus,
         )
     except DivergedError as err:  # raised for a single trial only
-        return [TrialOutcome(rng.trial, success=False, diverged=True, reason=str(err))]
-    diverged_at = result.ensemble.diverged_at.reshape(-1)
-    consensus = result.consensus.reshape(-1, objective.dimension)
+        return rng, problems, np.array([err.step_index]), np.full((1, objective.dimension), np.nan)
+    return (
+        rng, problems, result.ensemble.diverged_at.reshape(-1),
+        result.consensus.reshape(-1, objective.dimension),
+    )
+
+
+def _run_outcomes(config: ExperimentConfig, trials: int | Sequence[int]) -> list[TrialOutcome]:
+    """Scored outcomes of :func:`_final_consensus`."""
+    rng, problems, diverged_at, consensus = _final_consensus(config, trials)
     outcomes = []
-    for i, (trial, problem) in enumerate(zip(rng.trials, problems)):
-        if diverged_at[i] >= 0:
-            reason = str(DivergedError(int(diverged_at[i])))
+    for trial, problem, k, point in zip(rng.trials, problems, diverged_at, consensus):
+        if k >= 0:
+            reason = str(DivergedError(int(k)))
             outcomes.append(TrialOutcome(trial, success=False, diverged=True, reason=reason))
         else:
-            success, reason = _score(problem, consensus[i], config.success)
-            outcomes.append(
-                TrialOutcome(trial, success=success, consensus=consensus[i], reason=reason)
-            )
+            success, reason = _score(problem, point, config.success)
+            outcomes.append(TrialOutcome(trial, success=success, consensus=point, reason=reason))
     return outcomes
 
 
@@ -400,17 +409,19 @@ def cs_phase_diagram(
 
 def cs_recover(inst: CsInstance, config: ExperimentConfig) -> RecoveryResult:
     """Run the dynamics on one fixed instance and post-process the final
-    consensus into a sparse solution."""
+    consensus into a sparse solution, once: the trial is not scored by
+    ``config.success`` first."""
     cfg = replace(
         config,
         objective_factory=lambda rng: TrialProblem(
             CsObjective(inst), x_star=inst.ground_truth, instance=inst
         ),
     )
-    outcome = run_single_trial(cfg, 0)
-    if outcome.diverged or outcome.consensus is None:
-        return RecoveryResult(False, np.array([], dtype=int), reason=outcome.reason)
-    return recover_support(inst, outcome.consensus, config.success)
+    _, _, diverged_at, consensus = _final_consensus(cfg, 0)
+    if diverged_at[0] >= 0:
+        reason = str(DivergedError(int(diverged_at[0])))
+        return RecoveryResult(False, np.array([], dtype=int), reason=reason)
+    return recover_support(inst, consensus[0], config.success)
 
 
 @dataclass
@@ -447,8 +458,13 @@ def decay_experiment(
     eps: float = 1e-4,
     init: InitSpec = InitSpec(),
 ) -> DecayReport:
-    """Record the empirical Lyapunov functional along one run and fit its
-    exponential decay rate on the window where it exceeds eps."""
+    """Fit the exponential decay rate of the empirical Lyapunov functional V
+    along one run, on the window where it exceeds eps.
+
+    The run is given ``x_star``, so it records V (and W2, which this fit
+    does not read) at the initial state and after every step; the report
+    keeps the ``time`` and ``lyapunov`` tracks up to the first value at or
+    below eps."""
     rates = chi_rates(params, constants)
     if rates.chi1 <= 0:
         raise ValueError("no guarantee regime: chi1 must be positive")
@@ -457,7 +473,7 @@ def decay_experiment(
     steps = round(horizon / params.dt)
     result = run(
         ens, params, Schedule(), objective, StoppingRule(max_steps=steps), rng,
-        x_star=x_star, record=True,
+        x_star=x_star,
     )
     times = result.diagnostics["time"]
     values = result.diagnostics["lyapunov"]

@@ -131,7 +131,7 @@ def recorded_runs():
     runs["rastrigin"] = (
         run(
             ens, params, Schedule(), obj, StoppingRule(max_steps=2000), rng,
-            x_star=np.zeros(4), record=True,
+            x_star=np.zeros(4),
         ),
         np.zeros(4),
     )
@@ -144,7 +144,7 @@ def recorded_runs():
     runs["sparse_recovery"] = (
         run(
             ens, params, Schedule(), obj, StoppingRule(max_steps=2000), rng,
-            x_star=inst.ground_truth, record=True,
+            x_star=inst.ground_truth,
         ),
         inst.ground_truth,
     )
@@ -155,7 +155,7 @@ def recorded_runs():
     runs["decay"] = (
         run(
             ens, DECAY_PARAMS, Schedule(), obj, StoppingRule(max_steps=4000), rng,
-            x_star=np.zeros(2), record=True,
+            x_star=np.zeros(2),
         ),
         np.zeros(2),
     )

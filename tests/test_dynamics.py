@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbo.dynamics
 from cbo.dynamics import (
     CboParams,
     DiffusionType,
@@ -420,6 +421,38 @@ class TestRun:
             StoppingRule(max_steps=10_000, consensus_tol=1e-12), rng,
         )
         assert res.n_steps < 10_000
+
+    def test_recorded_run_holds_three_tracks(self, monkeypatch):
+        """Given x_star, a run records time, V and W2 at the start and after
+        each step, and computes one consensus point per step plus the one it
+        reports; without x_star it records nothing, on the same trajectory."""
+        obj = Sphere(2)
+        params = CboParams(
+            lambda1=4.0, lambda2=1.0, sigma1=0.5, sigma2=0.2, theta=1.0, kappa=2.0,
+            alpha=1e6, dt=0.01,
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return consensus_point(*args, **kwargs)
+
+        monkeypatch.setattr(cbo.dynamics, "consensus_point", counting)
+        steps = 25
+
+        def once(**kwargs):
+            rng = RngStream(0)
+            ens = init_ensemble(30, 2, InitSpec(), rng, obj, params.dt)
+            return run(ens, params, Schedule(), obj, StoppingRule(max_steps=steps), rng, **kwargs)
+
+        recorded = once(x_star=np.zeros(2))
+        assert set(recorded.diagnostics) == {"time", "lyapunov", "w2_to_dirac"}
+        assert all(track.shape == (steps + 1,) for track in recorded.diagnostics.values())
+        assert len(calls) == steps + 1
+        plain = once()
+        assert plain.diagnostics == {}
+        assert plain.ensemble.positions.tobytes() == recorded.ensemble.positions.tobytes()
+        assert plain.consensus.tobytes() == recorded.consensus.tobytes()
 
 
     def test_reported_consensus_uses_last_step_params(self):

@@ -231,6 +231,27 @@ class TestCsRecover:
         assert res.success
         np.testing.assert_allclose(res.x_hat, inst.ground_truth, atol=1e-4)
 
+    def test_consensus_post_processed_once(self, monkeypatch):
+        returned = []
+
+        def counting(*args):
+            returned.append(recover_support(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cbo.harness, "recover_support", counting)
+        inst = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
+        cfg = sphere_config(
+            params=CboParams(lambda1=1.0, lambda3=1.0, sigma1=0.0, alpha=100.0, dt=0.01, kappa=100.0),
+            n_particles=10,
+            horizon_T=1.0,
+            trials=1,
+            success=SuccessRule(kind="exact_sparse_recovery"),
+            init=InitSpec("gaussian", mean=0.0, std=1.0),
+        )
+        res = cs_recover(inst, cfg)
+        assert len(returned) == 1
+        assert res is returned[0]
+
     def test_fresh_instances_per_trial(self):
         cfg = sphere_config(trials=3, success=SuccessRule(kind="exact_sparse_recovery"))
         cfg = cs_experiment_config(8, 5, 2, 0.01, 1.0, cfg)
