@@ -8,7 +8,6 @@ from .dynamics import (
     InitSpec,
     RunResult,
     Schedule,
-    StoppingRule,
     consensus_point,
     exact_memory_update,
     init_ensemble,

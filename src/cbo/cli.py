@@ -12,7 +12,7 @@ import numpy as np
 
 from . import harness
 from .config import ConfigError, ResolvedConfig, load_config
-from .dynamics import DivergedError, StoppingRule, init_ensemble, run
+from .dynamics import DivergedError, init_ensemble, run
 from .objectives import finite_diff_grad
 from .rng import RngStream
 from .theory import chi_rates, chi_rates_memoryless, laplace_bound, time_horizon_star
@@ -32,7 +32,8 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", default=None, help="YAML config file")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
         cmd.add_argument("--out", default=None, help="output file (default stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default="json")
+        if name in ("sweep-rastrigin", "sweep-cs"):
+            cmd.add_argument("--format", choices=("csv", "json"), default="json")
     return parser
 
 
@@ -49,12 +50,11 @@ def _cmd_run(cfg: ResolvedConfig, args) -> tuple[str, int]:
     rng = RngStream(exp.seed)
     problem = exp.objective_factory(rng)
     ens = init_ensemble(
-        exp.n_particles, problem.objective.dimension, exp.init, rng,
-        problem.objective, exp.params.dt,
+        exp.n_particles, problem.objective.dimension, exp.init, rng, problem.objective
     )
     result = run(
-        ens, exp.params, exp.schedule, problem.objective,
-        StoppingRule(max_steps=exp.n_steps), rng, n_consensus=exp.n_consensus,
+        ens, exp.params, exp.schedule, problem.objective, exp.n_steps, rng,
+        n_consensus=exp.n_consensus,
     )
     payload = {
         "consensus": result.consensus.tolist(),

@@ -50,7 +50,8 @@ _keep_freed_heap()
 
 
 class DivergedError(RuntimeError):
-    """Raised when the ensemble develops non-finite coordinates."""
+    """Raised when a single trajectory develops non-finite coordinates or
+    energies."""
 
     def __init__(self, step_index: int):
         super().__init__(f"diverged ensemble at step {step_index}")
@@ -123,7 +124,6 @@ class Ensemble:
     memories: np.ndarray
     memory_energies: np.ndarray
     step_index: int = 0
-    dt: float = 0.0
     active: np.ndarray | None = None
     diverged_at: np.ndarray | None = None
 
@@ -148,17 +148,6 @@ class Ensemble:
     @property
     def d(self) -> int:
         return self.positions.shape[-1]
-
-    def copy(self) -> "Ensemble":
-        return Ensemble(
-            self.positions.copy(),
-            self.memories.copy(),
-            self.memory_energies.copy(),
-            self.step_index,
-            self.dt,
-            self.active.copy(),
-            self.diverged_at.copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -194,16 +183,6 @@ class Schedule:
                 sigma3=base.sigma3 * scale,
             )
         return out
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    max_steps: int
-    consensus_tol: float | None = None  # stop when the consensus point moves less
-
-    def __post_init__(self):
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be nonnegative")
 
 
 @dataclass
@@ -282,8 +261,10 @@ def consensus_point(points, energies, alpha, subset=None) -> np.ndarray:
 def memory_switch(e_x, e_y, beta, theta):
     """Smoothed Heaviside switch 1/2 (1 + theta + tanh(beta (E(y) - E(x)))).
 
-    For beta = inf this is the sign limit with sign(0) = 0, so ties keep the
-    old memory, matching the strict inequality of the exact rule.
+    For beta = inf this is the sign limit with sign(0) = 0, so a tie gives
+    S = (1 + theta) / 2 and moves the memory by half a step at theta = 0;
+    only the exact rule, with its strict inequality, keeps the old memory
+    on a tie.
     """
     e_x = np.asarray(e_x, dtype=float)
     e_y = np.asarray(e_y, dtype=float)
@@ -418,7 +399,6 @@ def step(
         ens.memories = _unless_frozen(active, y_new, y)
         ens.memory_energies = _unless_frozen(active, e_y_new, ens.memory_energies)
     ens.step_index = k + 1
-    ens.dt = dt
     return ens
 
 
@@ -448,11 +428,12 @@ class InitSpec:
 
 
 def init_ensemble(
-    n: int, d: int, init: InitSpec, rng: RngStream, objective: Objective, dt: float,
-    batch: int | np.ndarray | None = None,
+    n: int, d: int, init: InitSpec, rng: RngStream, objective: Objective
 ) -> Ensemble:
     """n particles in d dimensions drawn from ``init``, one ensemble per
-    trial of ``rng`` (a trial axis when ``rng`` covers a batch).
+    trial of ``rng`` (a trial axis when ``rng`` covers a batch), at step 0.
+    The memories start at the positions, with their energies on the full
+    objective (no mini-batch).
 
     Raises ValueError, naming the trials, when the objective is not finite
     at some initial position: the consensus weights need finite energies."""
@@ -462,12 +443,12 @@ def init_ensemble(
         x = init.mean + init.std * rng.gaussians(CHANNEL_INIT, n, d)
     else:
         x = rng.draw(CHANNEL_INIT, lambda gen: gen.uniform(init.low, init.high, size=(n, d)))
-    energies = np.asarray(objective.values(x, batch), dtype=float)
+    energies = np.asarray(objective.values(x), dtype=float)
     finite = np.isfinite(energies).all(axis=-1).reshape(-1)
     if not finite.all():
         bad = [t for t, ok in zip(rng.trials, finite) if not ok]
         raise ValueError(f"objective is not finite at the initial positions of trial(s) {bad}")
-    return Ensemble(x, x.copy(), energies, 0, dt)
+    return Ensemble(x, x.copy(), energies)
 
 
 def run(
@@ -475,27 +456,28 @@ def run(
     params: CboParams,
     schedule: Schedule,
     objective: Objective,
-    stop: StoppingRule,
+    max_steps: int,
     rng: RngStream,
     x_star: np.ndarray | None = None,
     n_consensus: int | None = None,
 ) -> RunResult:
-    """Iterate ``step`` up to stop.max_steps, applying the schedule at epoch
+    """Iterate ``step`` ``max_steps`` times, applying the schedule at epoch
     boundaries.
 
-    Trials end independently: a trial stops when its consensus point moves
-    less than ``stop.consensus_tol`` in one step or when it diverges, and the
-    run ends when no trial is active; ``n_steps`` counts the steps the batch
-    took.  ``RunResult.consensus`` holds each trial's consensus point when it
-    stopped, computed with the parameters of its last step and from the
-    memory energies cached by that step, which under mini-batching are the
-    energies on that step's batch; it is NaN for a diverged trial.
+    A trial ends early only by diverging, and the run ends early when every
+    trial has diverged; ``n_steps`` counts the steps the batch took.
+    ``RunResult.consensus`` holds each trial's final consensus point,
+    computed with the parameters of the last step and from the memory
+    energies cached by that step, which under mini-batching are the energies
+    on that step's batch; it is NaN for a diverged trial.
 
     Given the minimizer ``x_star``, the run records three tracks in
     ``diagnostics``, at the initial state and after every step: ``time``,
     ``lyapunov`` (the total of ``lyapunov_V``) and ``w2_to_dirac``, one value
     per trial.  Without it nothing is recorded and ``diagnostics`` is
     empty."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
     ens = initial
     diagnostics = defaultdict(list)
 
@@ -510,11 +492,9 @@ def run(
         snapshot(ens)
 
     step_params = schedule.params_at(params, ens.step_index)
-    consensus = np.full(ens.batch_shape + (ens.d,), np.nan)
-    prev_consensus = None
     realized = 0
     batched = objective.n_batches > 1
-    for _ in range(stop.max_steps):
+    for _ in range(max_steps):
         if not ens.active.any():
             break
         step_params = schedule.params_at(params, ens.step_index)
@@ -525,16 +505,8 @@ def run(
         realized += 1
         if record:
             snapshot(ens)
-        if stop.consensus_tol is not None:
-            cur = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)
-            if prev_consensus is not None:
-                moved = np.linalg.norm(cur - prev_consensus, axis=-1)
-                settled = ens.active & (moved < stop.consensus_tol)
-                if settled.any():
-                    consensus = np.where(settled[..., None], cur, consensus)
-                    ens.active = ens.active & ~settled
-            prev_consensus = cur
 
+    consensus = np.full(ens.batch_shape + (ens.d,), np.nan)
     if ens.active.any():
         last = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)
         consensus = np.where(ens.active[..., None], last, consensus)

@@ -18,7 +18,6 @@ from .dynamics import (
     DivergedError,
     InitSpec,
     Schedule,
-    StoppingRule,
     init_ensemble,
     run,
 )
@@ -201,41 +200,28 @@ def _score(problem: TrialProblem, consensus: np.ndarray, rule: SuccessRule) -> t
 
 
 def _final_consensus(
-    config: ExperimentConfig, trials: int | Sequence[int]
-) -> tuple[RngStream, list[TrialProblem], np.ndarray, np.ndarray]:
-    """Run one trial (``trials`` an int) or a batch of trials as one array
-    program.  Returns the run's stream, each trial's problem, the step at
-    which it diverged (-1: it did not) and its final consensus, one row per
-    trial; each trial draws only from its own streams, so its row is the
-    same in any batch."""
+    config: ExperimentConfig, trials: Sequence[int]
+) -> tuple[list[TrialProblem], np.ndarray, np.ndarray]:
+    """Run a batch of trials as one array program.  Returns each trial's
+    problem, the step at which it diverged (-1: it did not) and its final
+    consensus, one row per trial; each trial draws only from its own
+    streams, so its row is the same in any batch."""
     rng = RngStream(config.seed, trials)
-    problems = [config.objective_factory(rng.for_trial(t)) for t in rng.trials]
-    objective = problems[0].objective
-    if rng.batch_shape:
-        objective = type(objective).stack([p.objective for p in problems])
-    ens = init_ensemble(
-        config.n_particles, objective.dimension, config.init, rng, objective,
-        config.params.dt,
+    problems = [config.objective_factory(RngStream(config.seed, t)) for t in rng.trials]
+    objective = type(problems[0].objective).stack([p.objective for p in problems])
+    ens = init_ensemble(config.n_particles, objective.dimension, config.init, rng, objective)
+    result = run(
+        ens, config.params, config.schedule, objective, config.n_steps, rng,
+        n_consensus=config.n_consensus,
     )
-    try:
-        result = run(
-            ens, config.params, config.schedule, objective,
-            StoppingRule(max_steps=config.n_steps), rng,
-            n_consensus=config.n_consensus,
-        )
-    except DivergedError as err:  # raised for a single trial only
-        return rng, problems, np.array([err.step_index]), np.full((1, objective.dimension), np.nan)
-    return (
-        rng, problems, result.ensemble.diverged_at.reshape(-1),
-        result.consensus.reshape(-1, objective.dimension),
-    )
+    return problems, result.ensemble.diverged_at, result.consensus
 
 
-def _run_outcomes(config: ExperimentConfig, trials: int | Sequence[int]) -> list[TrialOutcome]:
+def _run_outcomes(config: ExperimentConfig, trials: Sequence[int]) -> list[TrialOutcome]:
     """Scored outcomes of :func:`_final_consensus`."""
-    rng, problems, diverged_at, consensus = _final_consensus(config, trials)
+    problems, diverged_at, consensus = _final_consensus(config, trials)
     outcomes = []
-    for trial, problem, k, point in zip(rng.trials, problems, diverged_at, consensus):
+    for trial, problem, k, point in zip(trials, problems, diverged_at, consensus):
         if k >= 0:
             reason = str(DivergedError(int(k)))
             outcomes.append(TrialOutcome(trial, success=False, diverged=True, reason=reason))
@@ -246,8 +232,9 @@ def _run_outcomes(config: ExperimentConfig, trials: int | Sequence[int]) -> list
 
 
 def run_single_trial(config: ExperimentConfig, trial: int) -> TrialOutcome:
-    """Trial ``trial`` alone, on the streams of (config.seed, trial)."""
-    return _run_outcomes(config, trial)[0]
+    """Trial ``trial`` alone, as a batch of one, on the streams of
+    (config.seed, trial)."""
+    return _run_outcomes(config, [trial])[0]
 
 
 def run_trials(config: ExperimentConfig) -> TrialSummary:
@@ -417,7 +404,7 @@ def cs_recover(inst: CsInstance, config: ExperimentConfig) -> RecoveryResult:
             CsObjective(inst), x_star=inst.ground_truth, instance=inst
         ),
     )
-    _, _, diverged_at, consensus = _final_consensus(cfg, 0)
+    _, diverged_at, consensus = _final_consensus(cfg, [0])
     if diverged_at[0] >= 0:
         reason = str(DivergedError(int(diverged_at[0])))
         return RecoveryResult(False, np.array([], dtype=int), reason=reason)
@@ -469,12 +456,9 @@ def decay_experiment(
     if rates.chi1 <= 0:
         raise ValueError("no guarantee regime: chi1 must be positive")
     rng = RngStream(seed)
-    ens = init_ensemble(n_particles, objective.dimension, init, rng, objective, params.dt)
+    ens = init_ensemble(n_particles, objective.dimension, init, rng, objective)
     steps = round(horizon / params.dt)
-    result = run(
-        ens, params, Schedule(), objective, StoppingRule(max_steps=steps), rng,
-        x_star=x_star,
-    )
+    result = run(ens, params, Schedule(), objective, steps, rng, x_star=x_star)
     times = result.diagnostics["time"]
     values = result.diagnostics["lyapunov"]
     window = values > eps

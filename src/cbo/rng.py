@@ -32,17 +32,12 @@ class RngStream:
     def __init__(self, seed: int, trial: int | Sequence[int] = 0):
         self.seed = int(seed)
         if np.ndim(trial) == 0:
-            self.trial = int(trial)
-            self.trials = (self.trial,)
+            self.trials = (int(trial),)
             self.batch_shape: tuple[int, ...] = ()
         else:
-            self.trial = None
             self.trials = tuple(int(t) for t in trial)
             self.batch_shape = (len(self.trials),)
         self._generators: dict[int, list[np.random.Generator]] = {}
-
-    def for_trial(self, trial: int | Sequence[int]) -> "RngStream":
-        return RngStream(self.seed, trial)
 
     def _per_trial(self, channel: int) -> list[np.random.Generator]:
         gens = self._generators.get(channel)

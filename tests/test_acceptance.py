@@ -17,7 +17,6 @@ from cbo.dynamics import (
     Ensemble,
     InitSpec,
     Schedule,
-    StoppingRule,
     consensus_point,
     init_ensemble,
     run,
@@ -127,10 +126,10 @@ def recorded_runs():
     rng = RngStream(0)
     obj = Rastrigin(4)
     params = CboParams(lambda2=2.0, **RASTRIGIN_PARAMS)
-    ens = init_ensemble(100, 4, InitSpec("gaussian", mean=1.5, std=1.0), rng, obj, params.dt)
+    ens = init_ensemble(100, 4, InitSpec("gaussian", mean=1.5, std=1.0), rng, obj)
     runs["rastrigin"] = (
         run(
-            ens, params, Schedule(), obj, StoppingRule(max_steps=2000), rng,
+            ens, params, Schedule(), obj, 2000, rng,
             x_star=np.zeros(4),
         ),
         np.zeros(4),
@@ -140,10 +139,10 @@ def recorded_runs():
     inst = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
     obj = CsObjective(inst)
     params = CboParams(lambda3=1.0, **CS_PARAMS)
-    ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj, params.dt)
+    ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj)
     runs["sparse_recovery"] = (
         run(
-            ens, params, Schedule(), obj, StoppingRule(max_steps=2000), rng,
+            ens, params, Schedule(), obj, 2000, rng,
             x_star=inst.ground_truth,
         ),
         inst.ground_truth,
@@ -151,10 +150,10 @@ def recorded_runs():
 
     rng = RngStream(0)
     obj = Sphere(2)
-    ens = init_ensemble(1000, 2, InitSpec(), rng, obj, DECAY_PARAMS.dt)
+    ens = init_ensemble(1000, 2, InitSpec(), rng, obj)
     runs["decay"] = (
         run(
-            ens, DECAY_PARAMS, Schedule(), obj, StoppingRule(max_steps=4000), rng,
+            ens, DECAY_PARAMS, Schedule(), obj, 4000, rng,
             x_star=np.zeros(2),
         ),
         np.zeros(2),
@@ -339,12 +338,12 @@ def test_memory_energies_never_increase(recorded_runs):
         if name == "rastrigin":
             obj = Rastrigin(4)
             params = CboParams(lambda2=2.0, **RASTRIGIN_PARAMS)
-            ens = init_ensemble(100, 4, InitSpec("gaussian", mean=1.5, std=1.0), rng, obj, params.dt)
+            ens = init_ensemble(100, 4, InitSpec("gaussian", mean=1.5, std=1.0), rng, obj)
         else:
             inst = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
             obj = CsObjective(inst)
             params = CboParams(lambda3=1.0, **CS_PARAMS)
-            ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj, params.dt)
+            ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj)
         assert params.uses_exact_memory
         prev = ens.memory_energies.copy()
         for _ in range(2000):
@@ -402,8 +401,8 @@ def test_nonconvex_recovery_benefits_from_more_particles(cs_nonconvex_summaries)
     dists = []
     for seed in range(10):
         rng = RngStream(seed)
-        ens = init_ensemble(50, 3, InitSpec("gaussian", mean=0.0, std=2.0), rng, obj, params.dt)
-        res = run(ens, params, sched, obj, StoppingRule(max_steps=2000), rng)
+        ens = init_ensemble(50, 3, InitSpec("gaussian", mean=0.0, std=2.0), rng, obj)
+        res = run(ens, params, sched, obj, 2000, rng)
         dists.append(float(np.linalg.norm(res.consensus)))
     minibatch_ok = max(dists) < 0.1
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,14 @@ import yaml
 import numpy as np
 
 from cbo import harness
-from cbo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from cbo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parser, main
 from cbo.config import ConfigError, load_config, resolve
 from cbo.dynamics import CboParams, InitSpec, Schedule
 from cbo.harness import SuccessRule
 from cbo.objectives import Rastrigin, Sphere
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIG_DIR.parent / "README.md"
 
 
 def write_config(tmp_path, payload, name="config.yaml"):
@@ -241,6 +243,15 @@ class TestSweepCommands:
         # key order included
         assert json.dumps(json.loads(out.read_text())["config"]) == json.dumps(expected)
 
+    def test_format_flag_only_on_sweeps(self):
+        """Only the sweeps can write CSV; the other commands always write
+        JSON and reject --format instead of ignoring it."""
+        for command in ("run", "decay", "check-bounds", "gradcheck"):
+            with pytest.raises(SystemExit):
+                _parser().parse_args([command, "--format", "csv"])
+        for command in ("sweep-rastrigin", "sweep-cs"):
+            assert _parser().parse_args([command, "--format", "csv"]).format == "csv"
+
     def test_programming_error_exits_runtime(self, tmp_path, monkeypatch):
         def broken(self, points, batch=None):
             raise TypeError("unsupported operand")
@@ -328,3 +339,14 @@ class TestBundledConfigs:
         code = main(["run", "--config", str(CONFIG_DIR / "sphere_run.yaml"), "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["distance_to_minimizer"] < 1e-6
+
+
+class TestReadme:
+    def test_library_example_runs(self, capsys):
+        """The library example in README.md runs against the current API and
+        prints the final consensus point."""
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], str(README), "exec"), {})
+        printed = capsys.readouterr().out
+        assert printed.startswith("[") and printed.rstrip().endswith("]")

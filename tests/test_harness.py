@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbo.dynamics import CboParams, InitSpec, Schedule
+from cbo.dynamics import CboParams, DivergedError, InitSpec, Schedule, init_ensemble, run
 from cbo.harness import (
     ExperimentConfig,
     PhaseDiagram,
@@ -25,7 +25,13 @@ from cbo.harness import (
     wilson_interval,
 )
 import cbo.harness
-from cbo.objectives import CsInstance, FunctionObjective, Sphere, generate_cs_instance
+from cbo.objectives import (
+    CsInstance,
+    CsObjective,
+    FunctionObjective,
+    Sphere,
+    generate_cs_instance,
+)
 from cbo.rng import CHANNEL_INIT, RngStream
 from cbo.theory import AssumptionConstants
 
@@ -251,6 +257,28 @@ class TestCsRecover:
         res = cs_recover(inst, cfg)
         assert len(returned) == 1
         assert res is returned[0]
+
+    def test_divergence_reports_step(self):
+        """A diverged run is reported with the step at which the single
+        trajectory of the same trial raises DivergedError."""
+        inst = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
+        # dt far above the gradient-flow stability limit: positions overflow
+        cfg = sphere_config(
+            params=CboParams(lambda1=1.0, lambda3=10.0, dt=5.0, kappa=0.2, alpha=1e6),
+            horizon_T=5000.0,
+            trials=1,
+            success=SuccessRule(kind="exact_sparse_recovery"),
+        )
+        res = cs_recover(inst, cfg)
+        obj = CsObjective(inst)
+        rng = RngStream(cfg.seed, 0)
+        ens = init_ensemble(cfg.n_particles, inst.d, cfg.init, rng, obj)
+        with pytest.raises(DivergedError) as err:
+            run(ens, cfg.params, cfg.schedule, obj, cfg.n_steps, rng)
+        assert not res.success
+        assert res.support.size == 0
+        assert res.x_hat is None
+        assert res.reason == f"diverged ensemble at step {err.value.step_index}"
 
     def test_fresh_instances_per_trial(self):
         cfg = sphere_config(trials=3, success=SuccessRule(kind="exact_sparse_recovery"))

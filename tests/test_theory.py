@@ -24,7 +24,7 @@ SPHERE = AssumptionConstants(eta=1.0, nu=0.5, R0=1.0, E_inf=100.0, C_grad=2.0)
 def ensemble_from(positions, memories):
     positions = np.asarray(positions, dtype=float)
     memories = np.asarray(memories, dtype=float)
-    return Ensemble(positions, memories, np.zeros(len(positions)), 0, 0.01)
+    return Ensemble(positions, memories, np.zeros(len(positions)))
 
 
 class TestChiRates:
@@ -162,7 +162,7 @@ class TestBatchedFunctionals:
         X = gen.standard_normal((m, n, d))
         Y = gen.standard_normal((m, n, d))
         xs = gen.standard_normal(d)
-        ens = Ensemble(X, Y, np.zeros((m, n)), 0, 0.01)
+        ens = Ensemble(X, Y, np.zeros((m, n)))
         v = lyapunov_V(ens, xs)
         w2 = wasserstein2_to_dirac(ens, xs)
         assert v.total.shape == v.position_part.shape == w2.shape == (m,)
