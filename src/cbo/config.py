@@ -149,10 +149,12 @@ class ResolvedConfig:
             raise ConfigError(str(err))
 
     def build_constants(self) -> AssumptionConstants:
+        # the section's other keys (vartheta, eps, cases) configure the checks;
+        # E_min is no key and keeps its default
         t = self["theory"]
         try:
             return AssumptionConstants(
-                eta=t["eta"], nu=t["nu"], R0=t["R0"], E_inf=t["E_inf"], C_grad=t["C_grad"]
+                **{f.name: t[f.name] for f in fields(AssumptionConstants) if f.name in t}
             )
         except ValueError as err:
             raise ConfigError(str(err))

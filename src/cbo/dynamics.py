@@ -32,9 +32,13 @@ def _keep_freed_heap() -> None:
     each (a 3 x 100 x 50 sparse-recovery batch) they sit just under glibc's
     initial 128 KB mmap threshold, so whether a step trims the heap and the
     next one faults the pages back in depends on where unrelated long-lived
-    allocations happen to lie: 0 or ~35-70 minor faults per step, up to 30%
-    of such a cell's time.  The values set are the caps that glibc's own
-    adaptive thresholds reach on 64-bit hosts."""
+    allocations happen to lie.  With the in-place sparse-recovery step, a
+    plain script running that cell took 0.1 minor faults per step without
+    this call, but the benchmark process took about 35 (0.9-1.1 million per
+    20 s run, against 60 thousand with it) and its wall time per cell was
+    0.77-0.87 s against 0.66-0.73 s with it, in five interleaved pairs on a
+    2-vCPU Xeon VM.  The values set are the caps that glibc's own adaptive
+    thresholds reach on 64-bit hosts."""
     if not sys.platform.startswith("linux"):
         return
     try:
@@ -118,6 +122,11 @@ class Ensemble:
     without them is a single trajectory.  Per trial, ``active`` marks the
     trials still advancing and ``diverged_at`` the step at which a trial
     turned non-finite (-1 while it has not).
+
+    ``residual`` is the objective's residual at ``positions`` (see
+    ``Objective``), handed from one ``step`` to the next so that the
+    gradients need not compute it again; None when there is none to hand
+    over.  Whoever changes ``positions`` outside ``step`` sets it to None.
     """
 
     positions: np.ndarray
@@ -126,6 +135,7 @@ class Ensemble:
     step_index: int = 0
     active: np.ndarray | None = None
     diverged_at: np.ndarray | None = None
+    residual: np.ndarray | None = None
 
     def __post_init__(self):
         if self.positions.ndim < 2 or self.positions.shape != self.memories.shape:
@@ -294,10 +304,17 @@ def exact_memory_update(ens: Ensemble, new_positions, new_energies) -> Ensemble:
     return ens
 
 
-def _diffusion_noise(arg: np.ndarray, z: np.ndarray, diffusion: DiffusionType) -> np.ndarray:
+def _scaled_noise(
+    arg: np.ndarray, z: np.ndarray, diffusion: DiffusionType, scale: float
+) -> np.ndarray:
+    """``scale * D(arg) * z`` for the diffusion matrix D, written into ``z``:
+    D(arg) = diag(arg) (anisotropic) or ||arg|| Id (isotropic) per particle."""
     if diffusion is DiffusionType.ANISOTROPIC:
-        return arg * z
-    return np.linalg.norm(arg, axis=-1, keepdims=True) * z
+        z *= arg
+    else:
+        z *= np.linalg.norm(arg, axis=-1, keepdims=True)
+    z *= scale
+    return z
 
 
 def _unless_frozen(active: np.ndarray | None, new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -333,6 +350,10 @@ def step(
     y = ens.memories
     e_y = ens.memory_energies
     dt = params.dt
+    needs_grads = params.lambda3 != 0.0 or params.sigma3 != 0.0
+    # the residual of the new positions, for the next step's gradients; it
+    # is kept only for the full objective (no mini-batch)
+    handover = needs_grads and batch is None
 
     # non-finite values are caught by the per-trial checks below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -355,26 +376,32 @@ def step(
         drift = params.lambda1 * x_ya
         x_y = x - y if params.lambda2 != 0.0 or params.sigma2 != 0.0 else None
         if params.lambda2 != 0.0:
-            drift = drift + params.lambda2 * x_y
+            drift += params.lambda2 * x_y
         grads = None
-        if params.lambda3 != 0.0 or params.sigma3 != 0.0:
-            grads = objective.gradients(x, batch)
+        if needs_grads:
+            residual = ens.residual if batch is None else None
+            grads = objective.gradients(x, batch, residual)
             if params.lambda3 != 0.0:
-                drift = drift + params.lambda3 * grads
+                drift += params.lambda3 * grads
 
-        x_new = x - dt * drift
+        drift *= dt
+        x_new = np.subtract(x, drift, out=drift)
         sqrt_dt = math.sqrt(dt)
         if params.sigma1 != 0.0:
             z = rng.gaussians(CHANNEL_CONSENSUS, ens.n, ens.d)
-            x_new = x_new + params.sigma1 * sqrt_dt * _diffusion_noise(x_ya, z, params.diffusion)
+            x_new += _scaled_noise(x_ya, z, params.diffusion, params.sigma1 * sqrt_dt)
         if params.sigma2 != 0.0:
             z = rng.gaussians(CHANNEL_MEMORY, ens.n, ens.d)
-            x_new = x_new + params.sigma2 * sqrt_dt * _diffusion_noise(x_y, z, params.diffusion)
+            x_new += _scaled_noise(x_y, z, params.diffusion, params.sigma2 * sqrt_dt)
         if params.sigma3 != 0.0:
             z = rng.gaussians(CHANNEL_GRADIENT, ens.n, ens.d)
-            x_new = x_new + params.sigma3 * sqrt_dt * _diffusion_noise(grads, z, params.diffusion)
+            x_new += _scaled_noise(grads, z, params.diffusion, params.sigma3 * sqrt_dt)
 
-        e_new = objective.values(x_new, batch)
+        new_residual = None
+        if handover:
+            e_new, new_residual = objective.values(x_new, batch, with_residual=True)
+        else:
+            e_new = objective.values(x_new, batch)
         ok = ok & np.isfinite(x_new).all(axis=(-2, -1)) & np.isfinite(e_new).all(axis=-1)
         if not params.uses_exact_memory:
             s = memory_switch(e_new, e_y, params.beta, params.theta)
@@ -391,6 +418,8 @@ def step(
     active = None if ens.active.all() else ens.active
 
     ens.positions = _unless_frozen(active, x_new, x)
+    # a frozen trial keeps its old positions, which new_residual does not describe
+    ens.residual = new_residual if active is None else None
     if params.uses_exact_memory:
         if batch is not None:
             ens.memory_energies = _unless_frozen(active, e_y, ens.memory_energies)

@@ -16,10 +16,20 @@ class Objective:
 
     Subclasses set ``dimension`` (or take it through this constructor) and
     implement ``values``, which maps points of shape (..., N, d) to energies
-    of shape (..., N); leading axes are the trials of a batch.  A batched objective exposes ``n_batches > 1``
-    and interprets the ``batch`` argument, one mini-batch index per trial;
-    non-batched objectives ignore it.  ``gradients`` is optional and only
-    required when a gradient drift or gradient noise term is active.
+    of shape (..., N); leading axes are the trials of a batch.  A batched
+    objective exposes ``n_batches > 1`` and interprets the ``batch``
+    argument, one mini-batch index per trial; non-batched objectives ignore
+    it.  ``gradients`` is optional and only required when a gradient drift
+    or gradient noise term is active.
+
+    Residual handover: ``values(points, batch, with_residual=True)`` returns
+    ``(energies, residual)``, where ``residual`` is whatever part of the
+    evaluation the gradients at the same points would compute again (None
+    when there is none, as for every objective but ``CsObjective``).
+    ``gradients(points, batch, residual)`` may use it in place of that
+    computation, with the same result bit for bit.  A residual is valid only
+    for the points, the batch and the objective it was computed with; no
+    caller is ever required to pass one, and ``residual=None`` always works.
     """
 
     dimension: int
@@ -44,35 +54,27 @@ class Objective:
                 raise ValueError(f"trials of one batch need equal {cls.__name__} objectives")
         return first
 
-    def values(self, points: np.ndarray, batch: int | np.ndarray | None = None) -> np.ndarray:
+    def values(
+        self,
+        points: np.ndarray,
+        batch: int | np.ndarray | None = None,
+        with_residual: bool = False,
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray, batch: int | None = None) -> float:
         return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)), batch)[0])
 
-    def gradients(self, points: np.ndarray, batch: int | np.ndarray | None = None) -> np.ndarray:
+    def gradients(
+        self,
+        points: np.ndarray,
+        batch: int | np.ndarray | None = None,
+        residual: np.ndarray | None = None,
+    ) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} provides no gradient")
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.gradients(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-
-class FunctionObjective(Objective):
-    """Wrap plain callables mapping points (..., d) to values (...)."""
-
-    def __init__(self, fn, dimension, grad_fn=None):
-        self.fn = fn
-        self.dimension = dimension
-        self.grad_fn = grad_fn
-        self.has_gradient = grad_fn is not None
-
-    def values(self, points, batch=None):
-        return np.asarray(self.fn(points), dtype=float)
-
-    def gradients(self, points, batch=None):
-        if self.grad_fn is None:
-            raise NotImplementedError("no gradient supplied")
-        return np.asarray(self.grad_fn(points), dtype=float)
 
 
 class Sphere(Objective):
@@ -80,10 +82,11 @@ class Sphere(Objective):
 
     has_gradient = True
 
-    def values(self, points, batch=None):
-        return np.einsum("...j,...j->...", points, points)
+    def values(self, points, batch=None, with_residual=False):
+        e = np.einsum("...j,...j->...", points, points)
+        return (e, None) if with_residual else e
 
-    def gradients(self, points, batch=None):
+    def gradients(self, points, batch=None, residual=None):
         return 2.0 * points
 
 
@@ -92,10 +95,11 @@ class Rastrigin(Objective):
 
     has_gradient = True
 
-    def values(self, points, batch=None):
-        return np.sum(points**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * points)), axis=-1)
+    def values(self, points, batch=None, with_residual=False):
+        e = np.sum(points**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * points)), axis=-1)
+        return (e, None) if with_residual else e
 
-    def gradients(self, points, batch=None):
+    def gradients(self, points, batch=None, residual=None):
         return 2.0 * points + 5.0 * np.pi * np.sin(2.0 * np.pi * points)
 
 
@@ -126,29 +130,6 @@ class CsInstance:
     def d(self) -> int:
         return self.A.shape[1]
 
-    def save(self, path) -> None:
-        """Plain-text format: header "d m s mu p", then A row-major, b, x*."""
-        tokens = [f"{self.d} {self.m} {self.sparsity or 0} {self.mu!r} {self.p!r}"]
-        tokens += [repr(float(v)) for v in self.A.ravel()]
-        tokens += [repr(float(v)) for v in self.b]
-        if self.ground_truth is not None:
-            tokens += [repr(float(v)) for v in self.ground_truth]
-        with open(path, "w") as f:
-            f.write("\n".join(tokens) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "CsInstance":
-        with open(path) as f:
-            header = f.readline().split()
-            d, m, s = int(header[0]), int(header[1]), int(header[2])
-            mu, p = float(header[3]), float(header[4])
-            vals = np.array([float(tok) for tok in f.read().split()])
-        A = vals[: m * d].reshape(m, d)
-        b = vals[m * d : m * d + m]
-        rest = vals[m * d + m :]
-        gt = rest if rest.size == d else None
-        return cls(A=A, b=b, mu=mu, p=p, ground_truth=gt, sparsity=s or None)
-
 
 class CsObjective(Objective):
     """E(x) = 1/2 ||Ax - b||^2 + mu ||x||_p^p of a CsInstance, for the
@@ -158,6 +139,12 @@ class CsObjective(Objective):
     The gradient is a subgradient for p=1, with sign(0) = 0; for p=1/2 the
     singular factor |x|^(p-1) is capped by adding ``smoothing_eps`` inside,
     with gradient 0 at exactly 0 when ``smoothing_eps`` is 0.
+
+    The residual ``A x - b`` of shape (..., N, m) is what ``values`` hands
+    over to ``gradients`` at the same points.  Both work in place on their
+    own temporaries, in the order of operations of the textbook expressions
+    ``0.5 * r.r + mu * sum(|x|**p)`` and ``r A + mu * (sign(x) * p *
+    (|x| + eps)**(p - 1))``, so they are bit-identical to them.
     """
 
     has_gradient = True
@@ -182,26 +169,38 @@ class CsObjective(Objective):
         return out
 
     def _residual(self, points):
-        return points @ self.A.mT - self.b[..., None, :]
+        r = points @ self.A.mT
+        r -= self.b[..., None, :]
+        return r
 
-    def values(self, points, batch=None):
+    def values(self, points, batch=None, with_residual=False):
+        points = np.asarray(points, dtype=float)
         residual = self._residual(points)
-        return 0.5 * np.einsum("...j,...j->...", residual, residual) + self.mu * np.sum(
-            np.abs(points) ** self.p, axis=-1
-        )
+        e = np.einsum("...j,...j->...", residual, residual)
+        e *= 0.5
+        a = np.abs(points)
+        a **= self.p
+        e += self.mu * a.sum(axis=-1)
+        return (e, residual) if with_residual else e
 
-    def gradients(self, points, batch=None):
-        g = self._residual(points) @ self.A
+    def gradients(self, points, batch=None, residual=None):
+        points = np.asarray(points, dtype=float)
+        if residual is None:
+            residual = self._residual(points)
+        g = residual @ self.A
         if self.mu != 0:
-            p = self.p
-            if p == 1.0:
-                g = g + self.mu * np.sign(points)
-            else:
+            reg = np.sign(points)
+            if self.p != 1.0:
+                reg *= self.p
+                scale = np.abs(points)
+                scale += self.smoothing_eps
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    reg = np.sign(points) * p * (np.abs(points) + self.smoothing_eps) ** (p - 1.0)
+                    np.power(scale, self.p - 1.0, out=scale)
+                    reg *= scale
                 if self.smoothing_eps == 0.0:
-                    reg = np.where(points == 0.0, 0.0, reg)
-                g = g + self.mu * reg
+                    reg[points == 0.0] = 0.0
+            reg *= self.mu
+            g += reg
         return g
 
 
@@ -260,10 +259,11 @@ class ToyStochasticObjective(Objective):
         # one batch index per trial; its center applies to all its particles
         return points - self.centers[0 if batch is None else batch][..., None, :]
 
-    def values(self, points, batch=None):
+    def values(self, points, batch=None, with_residual=False):
         diff = self._offsets(points, batch)
-        return np.einsum("...j,...j->...", diff, diff)
+        e = np.einsum("...j,...j->...", diff, diff)
+        return (e, None) if with_residual else e
 
-    def gradients(self, points, batch=None):
+    def gradients(self, points, batch=None, residual=None):
         return 2.0 * self._offsets(points, batch)
 

@@ -1,0 +1,24 @@
+"""Test-only objectives."""
+
+import numpy as np
+
+from cbo.objectives import Objective
+
+
+class FunctionObjective(Objective):
+    """Wrap plain callables mapping points (..., d) to values (...)."""
+
+    def __init__(self, fn, dimension, grad_fn=None):
+        self.fn = fn
+        self.dimension = dimension
+        self.grad_fn = grad_fn
+        self.has_gradient = grad_fn is not None
+
+    def values(self, points, batch=None, with_residual=False):
+        e = np.asarray(self.fn(points), dtype=float)
+        return (e, None) if with_residual else e
+
+    def gradients(self, points, batch=None, residual=None):
+        if self.grad_fn is None:
+            raise NotImplementedError("no gradient supplied")
+        return np.asarray(self.grad_fn(points), dtype=float)

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,15 @@ from cbo.dynamics import (
     run,
     step,
 )
-from cbo.objectives import FunctionObjective, Rastrigin, Sphere, ToyStochasticObjective
+from cbo.objectives import (
+    CsObjective,
+    Rastrigin,
+    Sphere,
+    ToyStochasticObjective,
+    generate_cs_instance,
+)
 from cbo.rng import RngStream
+from helpers import FunctionObjective
 
 
 def brute_force_consensus(points, energies, alpha):
@@ -485,6 +493,87 @@ class TestRun:
                 got = getattr(batch.ensemble, name)[t]
                 assert got.tobytes() == getattr(alone.ensemble, name).tobytes()
         assert 0 < diverged < 8
+
+
+class BoxedCs(CsObjective):
+    """Sparse-recovery energy, +inf outside the box |x|_inf < ``bound``.
+    Records for each ``gradients`` call whether a residual was handed over."""
+
+    def __init__(self, inst, bound=np.inf):
+        super().__init__(inst)
+        self.bound = bound
+        self.handed = []
+
+    def values(self, points, batch=None, with_residual=False):
+        out = super().values(points, batch, with_residual)
+        energies = out[0] if with_residual else out
+        energies[np.abs(points).max(axis=-1) >= self.bound] = np.inf
+        return out
+
+    def gradients(self, points, batch=None, residual=None):
+        self.handed.append(residual is not None)
+        return super().gradients(points, batch, residual)
+
+
+class RecomputingCs(BoxedCs):
+    """Drops a handed-over residual, so ``A x - b`` is computed again."""
+
+    def gradients(self, points, batch=None, residual=None):
+        return super().gradients(points, batch)
+
+
+class TestResidualHandover:
+    """``step`` hands the residual of the new positions to the next step's
+    gradients, with the same results as recomputing it."""
+
+    STEPS = 60
+    PARAMS = CboParams(lambda1=1.0, lambda3=0.5, sigma1=0.7, alpha=30.0, dt=0.05, kappa=20.0)
+
+    def cs_run(self, cls, trials, n_consensus=None, bound=np.inf):
+        rng = RngStream(0, trials)
+        objs = [
+            cls(generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(0, t)), bound)
+            for t in rng.trials
+        ]
+        obj = cls.stack(objs) if rng.batch_shape else objs[0]
+        ens = init_ensemble(12, 10, InitSpec("uniform", low=-0.5, high=0.5), rng, obj)
+        res = run(ens, self.PARAMS, Schedule(), obj, self.STEPS, rng, n_consensus=n_consensus)
+        return res, obj
+
+    @pytest.mark.parametrize(
+        "trials, n_consensus, bound",
+        [(0, None, np.inf), (range(4), 5, np.inf), (range(6), None, 1.5)],
+        ids=["single", "subset", "diverging"],
+    )
+    def test_handed_over_equals_recomputed(self, trials, n_consensus, bound):
+        handed, obj = self.cs_run(BoxedCs, trials, n_consensus, bound)
+        recomputed, _ = self.cs_run(RecomputingCs, trials, n_consensus, bound)
+        for name in ("positions", "memories", "memory_energies", "diverged_at"):
+            got, want = getattr(handed.ensemble, name), getattr(recomputed.ensemble, name)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+        assert handed.consensus.tobytes() == recomputed.consensus.tobytes()
+
+        # step 0 has no residual yet; from the first frozen trial on, none is
+        # handed over
+        diverged = handed.ensemble.diverged_at
+        first = diverged[diverged >= 0].min() if np.any(diverged >= 0) else self.STEPS - 1
+        assert obj.handed == [False] + [True] * first + [False] * (self.STEPS - 1 - first)
+        if bound < np.inf:
+            assert 0 < first < self.STEPS - 1 and np.any(diverged < 0)
+            assert handed.ensemble.residual is None
+        else:
+            assert handed.ensemble.residual.tobytes() == (
+                obj._residual(handed.ensemble.positions).tobytes()
+            )
+
+    def test_no_handover_without_gradients_or_with_a_mini_batch(self):
+        obj = BoxedCs(generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(1)))
+        ens = init_ensemble(12, 10, InitSpec(), RngStream(1), obj)
+        step(ens, replace(self.PARAMS, lambda3=0.0), obj, RngStream(1))
+        assert ens.residual is None
+        step(ens, self.PARAMS, obj, RngStream(1), batch=0)
+        assert ens.residual is None and obj.handed == [False]
 
 
 class TestSchedule:

@@ -28,12 +28,12 @@ import cbo.harness
 from cbo.objectives import (
     CsInstance,
     CsObjective,
-    FunctionObjective,
     Sphere,
     generate_cs_instance,
 )
 from cbo.rng import CHANNEL_INIT, RngStream
 from cbo.theory import AssumptionConstants
+from helpers import FunctionObjective
 
 SPHERE_CONSTANTS = AssumptionConstants(eta=1.0, nu=0.5, R0=1.0, E_inf=100.0, C_grad=2.0)
 
