@@ -168,6 +168,8 @@ class ResolvedConfig:
         if kind == "cs":
             cs = self["cs"]
             return cs_instance_factory(cs["d"], cs["m"], cs["s"], cs["mu"], cs["p"])
+        if d < 1:
+            raise ConfigError(f"objective.dimension must be at least 1, got {d}")
         if kind == "sphere":
             obj = Sphere(d)
         elif kind == "rastrigin":

@@ -123,10 +123,10 @@ class Ensemble:
     trials still advancing and ``diverged_at`` the step at which a trial
     turned non-finite (-1 while it has not).
 
-    ``residual`` is the objective's residual at ``positions`` (see
-    ``Objective``), handed from one ``step`` to the next so that the
-    gradients need not compute it again; None when there is none to hand
-    over.  Whoever changes ``positions`` outside ``step`` sets it to None.
+    ``residual`` is the one ``objective.values_and_residual`` returned at
+    ``positions`` (see ``Objective``), handed from one ``step`` to the next
+    so that the gradients need not compute it again; None when there is
+    none.  Whoever changes ``positions`` outside ``step`` sets it to None.
     """
 
     positions: np.ndarray
@@ -379,8 +379,10 @@ def step(
             drift += params.lambda2 * x_y
         grads = None
         if needs_grads:
-            residual = ens.residual if batch is None else None
-            grads = objective.gradients(x, batch, residual)
+            if ens.residual is None or batch is not None:
+                grads = objective.gradients(x, batch)
+            else:
+                grads = objective.gradients(x, batch, ens.residual)
             if params.lambda3 != 0.0:
                 drift += params.lambda3 * grads
 
@@ -399,7 +401,7 @@ def step(
 
         new_residual = None
         if handover:
-            e_new, new_residual = objective.values(x_new, batch, with_residual=True)
+            e_new, new_residual = objective.values_and_residual(x_new, batch)
         else:
             e_new = objective.values(x_new, batch)
         ok = ok & np.isfinite(x_new).all(axis=(-2, -1)) & np.isfinite(e_new).all(axis=-1)

@@ -87,6 +87,10 @@ class ExperimentConfig:
             raise ValueError("horizon_T must be a positive integer multiple of dt")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.n_particles < 1:
+            raise ValueError("n_particles must be at least 1")
+        if self.n_consensus is not None and self.n_consensus < 1:
+            raise ValueError("n_consensus must be at least 1")
 
     @property
     def n_steps(self) -> int:

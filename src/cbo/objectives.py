@@ -12,29 +12,26 @@ from .rng import CHANNEL_INSTANCE, RngStream
 
 
 class Objective:
-    """Evaluation interface for the particle dynamics.
+    """Evaluation interface for the particle dynamics: two methods.
 
-    Subclasses set ``dimension`` (or take it through this constructor) and
-    implement ``values``, which maps points of shape (..., N, d) to energies
-    of shape (..., N); leading axes are the trials of a batch.  A batched
-    objective exposes ``n_batches > 1`` and interprets the ``batch``
-    argument, one mini-batch index per trial; non-batched objectives ignore
-    it.  ``gradients`` is optional and only required when a gradient drift
-    or gradient noise term is active.
+    ``values(points, batch=None)`` maps points of shape (..., N, d) to
+    energies of shape (..., N); leading axes are the trials of a batch.
+    ``gradients(points, batch=None)`` maps them to gradients of shape
+    (..., N, d); it is needed only when a gradient drift or gradient noise
+    term is active.  Subclasses set ``dimension`` (or take it through this
+    constructor).  A batched objective exposes ``n_batches > 1`` and
+    interprets the ``batch`` argument, one mini-batch index per trial;
+    non-batched objectives ignore it.
 
-    Residual handover: ``values(points, batch, with_residual=True)`` returns
-    ``(energies, residual)``, where ``residual`` is whatever part of the
-    evaluation the gradients at the same points would compute again (None
-    when there is none, as for every objective but ``CsObjective``).
-    ``gradients(points, batch, residual)`` may use it in place of that
-    computation, with the same result bit for bit.  A residual is valid only
-    for the points, the batch and the objective it was computed with; no
-    caller is ever required to pass one, and ``residual=None`` always works.
+    An objective whose gradients recompute part of its values may also
+    override ``values_and_residual``, which returns the energies together
+    with that part, its *residual*, and take the residual as a third
+    argument of ``gradients`` at the same points and batch (see
+    ``CsObjective``).  By default there is no residual.
     """
 
     dimension: int
     n_batches: int = 1
-    has_gradient: bool = False
 
     def __init__(self, dimension: int):
         self.dimension = dimension
@@ -54,23 +51,20 @@ class Objective:
                 raise ValueError(f"trials of one batch need equal {cls.__name__} objectives")
         return first
 
-    def values(
-        self,
-        points: np.ndarray,
-        batch: int | np.ndarray | None = None,
-        with_residual: bool = False,
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]:
+    def values(self, points: np.ndarray, batch: int | np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
+
+    def values_and_residual(
+        self, points: np.ndarray, batch: int | np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The energies at ``points`` and the residual that ``gradients`` at
+        the same points and batch may reuse; None when there is none."""
+        return self.values(points, batch), None
 
     def __call__(self, x: np.ndarray, batch: int | None = None) -> float:
         return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)), batch)[0])
 
-    def gradients(
-        self,
-        points: np.ndarray,
-        batch: int | np.ndarray | None = None,
-        residual: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def gradients(self, points: np.ndarray, batch: int | np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} provides no gradient")
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -80,26 +74,20 @@ class Objective:
 class Sphere(Objective):
     """E(x) = ||x||^2, minimizer at the origin."""
 
-    has_gradient = True
+    def values(self, points, batch=None):
+        return np.einsum("...j,...j->...", points, points)
 
-    def values(self, points, batch=None, with_residual=False):
-        e = np.einsum("...j,...j->...", points, points)
-        return (e, None) if with_residual else e
-
-    def gradients(self, points, batch=None, residual=None):
+    def gradients(self, points, batch=None):
         return 2.0 * points
 
 
 class Rastrigin(Objective):
     """E(x) = sum x_k^2 + 5/2 (1 - cos(2 pi x_k)), global minimum 0 at 0."""
 
-    has_gradient = True
+    def values(self, points, batch=None):
+        return np.sum(points**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * points)), axis=-1)
 
-    def values(self, points, batch=None, with_residual=False):
-        e = np.sum(points**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * points)), axis=-1)
-        return (e, None) if with_residual else e
-
-    def gradients(self, points, batch=None, residual=None):
+    def gradients(self, points, batch=None):
         return 2.0 * points + 5.0 * np.pi * np.sin(2.0 * np.pi * points)
 
 
@@ -112,7 +100,6 @@ class CsInstance:
     mu: float
     p: float
     ground_truth: np.ndarray | None = None
-    sparsity: int | None = None
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -121,10 +108,6 @@ class CsInstance:
             raise ValueError(f"unsupported exponent p={self.p}")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
 
     @property
     def d(self) -> int:
@@ -140,14 +123,14 @@ class CsObjective(Objective):
     singular factor |x|^(p-1) is capped by adding ``smoothing_eps`` inside,
     with gradient 0 at exactly 0 when ``smoothing_eps`` is 0.
 
-    The residual ``A x - b`` of shape (..., N, m) is what ``values`` hands
-    over to ``gradients`` at the same points.  Both work in place on their
-    own temporaries, in the order of operations of the textbook expressions
-    ``0.5 * r.r + mu * sum(|x|**p)`` and ``r A + mu * (sign(x) * p *
-    (|x| + eps)**(p - 1))``, so they are bit-identical to them.
+    Its residual ``A x - b`` of shape (..., N, m) comes from
+    ``values(points, batch, with_residual=True)``, which
+    ``values_and_residual`` calls, and ``gradients(points, batch,
+    residual)`` reuses it.  Both work in place on their own temporaries, in
+    the order of operations of the textbook expressions ``0.5 * r.r + mu *
+    sum(|x|**p)`` and ``r A + mu * (sign(x) * p * (|x| + eps)**(p - 1))``,
+    so they are bit-identical to them.
     """
-
-    has_gradient = True
 
     def __init__(self, inst: CsInstance, smoothing_eps: float = 1e-8):
         self.A = inst.A
@@ -182,6 +165,9 @@ class CsObjective(Objective):
         a **= self.p
         e += self.mu * a.sum(axis=-1)
         return (e, residual) if with_residual else e
+
+    def values_and_residual(self, points, batch=None):
+        return self.values(points, batch, with_residual=True)
 
     def gradients(self, points, batch=None, residual=None):
         points = np.asarray(points, dtype=float)
@@ -221,7 +207,7 @@ def generate_cs_instance(
     vals[vals == 0.0] = 0.1
     x_star = np.zeros(d)
     x_star[support] = vals
-    return CsInstance(A=A, b=A @ x_star, mu=mu, p=p, ground_truth=x_star, sparsity=s)
+    return CsInstance(A=A, b=A @ x_star, mu=mu, p=p, ground_truth=x_star)
 
 
 def finite_diff_grad(obj: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -241,8 +227,6 @@ class ToyStochasticObjective(Objective):
     """Mini-batched quadratic: E_batch(x) = ||x - c_batch||^2 with batch
     centers summing to zero, so the full-data minimizer is the origin."""
 
-    has_gradient = True
-
     def __init__(self, dimension: int, n_batches: int, center_scale: float = 0.5, seed: int = 0):
         if n_batches < 1:
             raise ValueError("n_batches must be at least 1")
@@ -259,11 +243,10 @@ class ToyStochasticObjective(Objective):
         # one batch index per trial; its center applies to all its particles
         return points - self.centers[0 if batch is None else batch][..., None, :]
 
-    def values(self, points, batch=None, with_residual=False):
+    def values(self, points, batch=None):
         diff = self._offsets(points, batch)
-        e = np.einsum("...j,...j->...", diff, diff)
-        return (e, None) if with_residual else e
+        return np.einsum("...j,...j->...", diff, diff)
 
-    def gradients(self, points, batch=None, residual=None):
+    def gradients(self, points, batch=None):
         return 2.0 * self._offsets(points, batch)
 

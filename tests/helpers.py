@@ -12,13 +12,11 @@ class FunctionObjective(Objective):
         self.fn = fn
         self.dimension = dimension
         self.grad_fn = grad_fn
-        self.has_gradient = grad_fn is not None
 
-    def values(self, points, batch=None, with_residual=False):
-        e = np.asarray(self.fn(points), dtype=float)
-        return (e, None) if with_residual else e
+    def values(self, points, batch=None):
+        return np.asarray(self.fn(points), dtype=float)
 
-    def gradients(self, points, batch=None, residual=None):
+    def gradients(self, points, batch=None):
         if self.grad_fn is None:
             raise NotImplementedError("no gradient supplied")
         return np.asarray(self.grad_fn(points), dtype=float)

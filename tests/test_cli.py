@@ -150,6 +150,22 @@ class TestRunCommand:
         path = write_config(tmp_path, {"params": {"lamda2": 1.0}})
         assert main(["run", "--config", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("experiment", "n_particles", 0),
+            ("experiment", "n_consensus", 0),
+            ("experiment", "n_consensus", -3),
+            ("objective", "dimension", 0),
+        ],
+        ids=["n_particles=0", "n_consensus=0", "n_consensus=-3", "dimension=0"],
+    )
+    def test_empty_array_shapes_are_config_errors(self, tmp_path, caplog, section, key, value):
+        path = write_config(tmp_path, {section: {key: value}})
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        assert "configuration error" in caplog.text
+        assert f"{key} must be at least 1" in caplog.text
+
     def test_divergent_run_exits_runtime(self, tmp_path):
         path = write_config(
             tmp_path,

@@ -24,6 +24,7 @@ from cbo.dynamics import (
 )
 from cbo.objectives import (
     CsObjective,
+    Objective,
     Rastrigin,
     Sphere,
     ToyStochasticObjective,
@@ -574,6 +575,45 @@ class TestResidualHandover:
         assert ens.residual is None
         step(ens, self.PARAMS, obj, RngStream(1), batch=0)
         assert ens.residual is None and obj.handed == [False]
+
+
+class TwoMethodSphere(Objective):
+    """A user objective written to the two-method interface, with Sphere's
+    formulas."""
+
+    def values(self, points, batch=None):
+        return np.einsum("...j,...j->...", points, points)
+
+    def gradients(self, points, batch=None):
+        return 2.0 * points
+
+
+class TestUserObjective:
+    """Gradient drift and gradient noise run on an objective that defines
+    only ``values`` and ``gradients``, exactly as on the built-in one."""
+
+    @pytest.mark.parametrize("trials", [0, range(3)], ids=["single", "batch"])
+    @pytest.mark.parametrize(
+        "memory",
+        [dict(kappa=20.0), dict(beta=30.0, theta=0.5, kappa=5.0)],
+        ids=["exact", "smoothed"],
+    )
+    def test_equals_sphere_bit_for_bit(self, trials, memory):
+        params = CboParams(
+            lambda1=1.0, lambda3=0.3, sigma1=0.4, sigma3=0.2, alpha=30.0, dt=0.05, **memory
+        )
+        assert params.uses_exact_memory == ("beta" not in memory)
+        results = []
+        for obj in (TwoMethodSphere(3), Sphere(3)):
+            rng = RngStream(5, trials)
+            ens = init_ensemble(15, 3, InitSpec(mean=1.0), rng, obj)
+            results.append(run(ens, params, Schedule(), obj, 40, rng))
+        user, sphere = results
+        for name in ("positions", "memories", "memory_energies"):
+            got, want = getattr(user.ensemble, name), getattr(sphere.ensemble, name)
+            assert got.tobytes() == want.tobytes()
+        assert user.consensus.tobytes() == sphere.consensus.tobytes()
+        assert user.ensemble.residual is None
 
 
 class TestSchedule:

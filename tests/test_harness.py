@@ -186,7 +186,7 @@ class TestRecoverSupport:
     def make_identity_instance(self):
         x_star = np.array([0.0, 1.5, 0.0, -0.7])
         A = np.eye(4)
-        return CsInstance(A=A, b=A @ x_star, mu=0.01, p=1.0, ground_truth=x_star, sparsity=2)
+        return CsInstance(A=A, b=A @ x_star, mu=0.01, p=1.0, ground_truth=x_star)
 
     def test_exact_recovery(self):
         inst = self.make_identity_instance()
