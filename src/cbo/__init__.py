@@ -22,7 +22,6 @@ from .harness import (
     TrialProblem,
     TrialSummary,
     cs_phase_diagram,
-    cs_recover,
     decay_experiment,
     rastrigin_phase_diagram,
     run_trials,

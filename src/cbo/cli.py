@@ -7,6 +7,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,13 +69,26 @@ def _cmd_run(cfg: ResolvedConfig, args) -> tuple[str, int]:
     return json.dumps(payload, indent=2), EXIT_OK
 
 
+def _grid(values: list, convert, build) -> list:
+    """The sweep grid ``values`` through ``convert``; a value that ``build``,
+    the constructor of a cell's part, rejects is a configuration error."""
+    try:
+        grid = [convert(v) for v in values]
+        for v in grid:
+            build(v)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"sweep grid value: {err}")
+    return grid
+
+
 def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
     sweep = cfg["sweep"]
-    x_grid = sweep["x_grid"] or [0.0, 1.0, 2.0, 4.0]
-    y_grid = sweep["y_grid"] or [10, 100]
     base = cfg.build_experiment()
     diagram = harness.rastrigin_phase_diagram(
-        [float(v) for v in x_grid], [int(v) for v in y_grid], base,
+        _grid(sweep["x_grid"] or [0.0, 1.0, 2.0, 4.0], float,
+              lambda l2: replace(base.params, lambda2=l2)),
+        _grid(sweep["y_grid"] or [10, 100], int, lambda n: replace(base, n_particles=n)),
+        base,
         sigma2_coupling=sweep["sigma2_coupling"],
     )
     return (diagram.to_csv() if args.format == "csv" else diagram.to_json()), EXIT_OK
@@ -83,11 +97,11 @@ def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
 def _cmd_sweep_cs(cfg: ResolvedConfig, args) -> tuple[str, int]:
     sweep = cfg["sweep"]
     cs = cfg["cs"]
-    x_grid = sweep["x_grid"] or [0.0, 1.0]
-    y_grid = sweep["y_grid"] or [cs["m"]]
     base = cfg.build_experiment()
     diagram = harness.cs_phase_diagram(
-        [float(v) for v in x_grid], [int(v) for v in y_grid],
+        _grid(sweep["x_grid"] or [0.0, 1.0], float, lambda l3: replace(base.params, lambda3=l3)),
+        _grid(sweep["y_grid"] or [cs["m"]], int,
+              lambda m: harness.cs_instance_factory(cs["d"], m, cs["s"], cs["mu"], cs["p"])),
         {"d": cs["d"], "s": cs["s"], "mu": cs["mu"], "p": cs["p"]},
         base,
     )
@@ -157,6 +171,8 @@ def _cmd_check_bounds(cfg: ResolvedConfig, args) -> tuple[str, int]:
 def _cmd_gradcheck(cfg: ResolvedConfig, args) -> tuple[str, int]:
     exp = cfg.build_experiment()
     gc = cfg["gradcheck"]
+    if not (gc["points"] >= 1 and gc["h"] > 0 and gc["rel_tol"] > 0):
+        raise ConfigError("gradcheck needs points >= 1 and positive h and rel_tol")
     problem = exp.objective_factory(RngStream(exp.seed))
     obj = problem.objective
     gen = np.random.Generator(np.random.PCG64(exp.seed))

@@ -21,11 +21,11 @@ from .dynamics import (
     init_ensemble,
     run,
 )
-from .objectives import CsInstance, CsObjective, Objective, generate_cs_instance
+from .objectives import (
+    CsInstance, CsObjective, Objective, check_cs_sizes, generate_cs_instance,
+)
 from .rng import RngStream
 from .theory import AssumptionConstants, DecayFit, chi_rates, fit_exponential_rate
-
-WILSON_Z = 1.959963984540054  # 95% two-sided
 
 
 @dataclass(frozen=True)
@@ -128,29 +128,9 @@ class TrialSummary:
             outcomes=outcomes,
         )
 
-    def to_csv(self, x_param: str = "", x_value="", y_param: str = "", y_value="") -> str:
-        return _to_csv(
-            [[x_param, x_value, y_param, y_value, self.probability, self.ci_low,
-              self.ci_high, self.trials, self.failures]]
-        )
 
-
-CSV_HEADER = [
-    "x_param", "x_value", "y_param", "y_value",
-    "success_prob", "ci_low", "ci_high", "trials", "failures",
-]
-
-
-def _to_csv(rows) -> str:
-    """CSV text of ``rows`` under :data:`CSV_HEADER`, one row per cell."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(CSV_HEADER)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = 1.959963984540054  # 95% two-sided
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -203,13 +183,10 @@ def _score(problem: TrialProblem, consensus: np.ndarray, rule: SuccessRule) -> t
     return res.success, res.reason
 
 
-def _final_consensus(
-    config: ExperimentConfig, trials: Sequence[int]
-) -> tuple[list[TrialProblem], np.ndarray, np.ndarray]:
-    """Run a batch of trials as one array program.  Returns each trial's
-    problem, the step at which it diverged (-1: it did not) and its final
-    consensus, one row per trial; each trial draws only from its own
-    streams, so its row is the same in any batch."""
+def _run_outcomes(config: ExperimentConfig, trials: Sequence[int]) -> list[TrialOutcome]:
+    """Run a batch of trials as one array program and score each trial's
+    final consensus; each trial draws only from its own streams, so its
+    outcome is the same in any batch."""
     rng = RngStream(config.seed, trials)
     problems = [config.objective_factory(RngStream(config.seed, t)) for t in rng.trials]
     objective = type(problems[0].objective).stack([p.objective for p in problems])
@@ -218,14 +195,9 @@ def _final_consensus(
         ens, config.params, config.schedule, objective, config.n_steps, rng,
         n_consensus=config.n_consensus,
     )
-    return problems, result.ensemble.diverged_at, result.consensus
-
-
-def _run_outcomes(config: ExperimentConfig, trials: Sequence[int]) -> list[TrialOutcome]:
-    """Scored outcomes of :func:`_final_consensus`."""
-    problems, diverged_at, consensus = _final_consensus(config, trials)
     outcomes = []
-    for trial, problem, k, point in zip(trials, problems, diverged_at, consensus):
+    diverged_at = result.ensemble.diverged_at
+    for trial, problem, k, point in zip(trials, problems, diverged_at, result.consensus):
         if k >= 0:
             reason = str(DivergedError(int(k)))
             outcomes.append(TrialOutcome(trial, success=False, diverged=True, reason=reason))
@@ -250,24 +222,32 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
 
 @dataclass
 class PhaseDiagram:
+    """Success probabilities over a grid: ``cells[j][i]`` is the summary of
+    cell (x_grid[i], y_grid[j])."""
+
     x_param: str
     x_grid: list
     y_param: str
     y_grid: list
-    cells: np.ndarray  # success probability, shape (len(y_grid), len(x_grid))
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    failures: np.ndarray
-    trials_per_cell: int
+    cells: list[list[TrialSummary]]
     provenance: dict = field(default_factory=dict)
 
+    def _grid(self, name: str) -> list[list]:
+        return [[getattr(s, name) for s in row] for row in self.cells]
+
     def to_csv(self) -> str:
-        return _to_csv(
-            [self.x_param, xv, self.y_param, yv, self.cells[j, i], self.ci_low[j, i],
-             self.ci_high[j, i], self.trials_per_cell, int(self.failures[j, i])]
-            for j, yv in enumerate(self.y_grid)
-            for i, xv in enumerate(self.x_grid)
+        """One row per cell, y-major."""
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["x_param", "x_value", "y_param", "y_value",
+                    "success_prob", "ci_low", "ci_high", "trials", "failures"])
+        w.writerows(
+            [self.x_param, xv, self.y_param, yv, s.probability, s.ci_low, s.ci_high,
+             s.trials, s.failures]
+            for yv, row in zip(self.y_grid, self.cells)
+            for xv, s in zip(self.x_grid, row)
         )
+        return buf.getvalue()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -276,11 +256,11 @@ class PhaseDiagram:
                 "x_grid": list(self.x_grid),
                 "y_param": self.y_param,
                 "y_grid": list(self.y_grid),
-                "trials_per_cell": self.trials_per_cell,
-                "cells": self.cells.tolist(),
-                "ci_low": self.ci_low.tolist(),
-                "ci_high": self.ci_high.tolist(),
-                "failures": self.failures.astype(int).tolist(),
+                "trials_per_cell": self.cells[0][0].trials,
+                "cells": self._grid("probability"),
+                "ci_low": self._grid("ci_low"),
+                "ci_high": self._grid("ci_high"),
+                "failures": self._grid("failures"),
                 "config": self.provenance,
             },
             indent=2,
@@ -288,32 +268,13 @@ class PhaseDiagram:
 
 
 def _sweep(
-    x_param: str,
-    x_grid,
-    y_param: str,
-    y_grid,
-    config_for_cell: Callable[[object, object], ExperimentConfig],
-    provenance: dict,
+    x_param: str, x_grid, y_param: str, y_grid,
+    config_for_cell: Callable[[object, object], ExperimentConfig], provenance: dict,
 ) -> PhaseDiagram:
     if len(x_grid) == 0 or len(y_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
-    shape = (len(y_grid), len(x_grid))
-    cells = np.zeros(shape)
-    lo = np.zeros(shape)
-    hi = np.zeros(shape)
-    failures = np.zeros(shape)
-    for j, yv in enumerate(y_grid):
-        for i, xv in enumerate(x_grid):
-            summary = run_trials(config_for_cell(xv, yv))
-            cells[j, i] = summary.probability
-            lo[j, i] = summary.ci_low
-            hi[j, i] = summary.ci_high
-            failures[j, i] = summary.failures
-    return PhaseDiagram(
-        x_param, list(x_grid), y_param, list(y_grid), cells, lo, hi, failures,
-        trials_per_cell=config_for_cell(x_grid[0], y_grid[0]).trials,
-        provenance=provenance,
-    )
+    cells = [[run_trials(config_for_cell(xv, yv)) for xv in x_grid] for yv in y_grid]
+    return PhaseDiagram(x_param, list(x_grid), y_param, list(y_grid), cells, provenance)
 
 
 def rastrigin_phase_diagram(
@@ -354,6 +315,7 @@ def cs_instance_factory(
     """Sparse-recovery problems with a fresh random instance per trial, drawn
     from the trial's instance channel, averaging over measurement
     randomness."""
+    check_cs_sizes(d, m, s)
 
     def factory(rng: RngStream) -> TrialProblem:
         inst = generate_cs_instance(d, m, s, mu, p, rng)
@@ -388,7 +350,7 @@ def cs_phase_diagram(
         cfg = replace(base_config, params=params)
         return cs_experiment_config(
             instance_spec["d"], int(m), instance_spec["s"],
-            instance_spec.get("mu", 0.01), instance_spec.get("p", 1.0), cfg,
+            instance_spec["mu"], instance_spec["p"], cfg,
         )
 
     return _sweep(
@@ -396,23 +358,6 @@ def cs_phase_diagram(
         provenance={"experiment": "compressed_sensing", "instance": dict(instance_spec),
                     **_config_provenance(base_config)},
     )
-
-
-def cs_recover(inst: CsInstance, config: ExperimentConfig) -> RecoveryResult:
-    """Run the dynamics on one fixed instance and post-process the final
-    consensus into a sparse solution, once: the trial is not scored by
-    ``config.success`` first."""
-    cfg = replace(
-        config,
-        objective_factory=lambda rng: TrialProblem(
-            CsObjective(inst), x_star=inst.ground_truth, instance=inst
-        ),
-    )
-    _, diverged_at, consensus = _final_consensus(cfg, [0])
-    if diverged_at[0] >= 0:
-        reason = str(DivergedError(int(diverged_at[0])))
-        return RecoveryResult(False, np.array([], dtype=int), reason=reason)
-    return recover_support(inst, consensus[0], config.success)
 
 
 @dataclass

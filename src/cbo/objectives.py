@@ -190,15 +190,18 @@ class CsObjective(Objective):
         return g
 
 
+def check_cs_sizes(d: int, m: int, s: int) -> None:
+    for name, value in (("sparsity s", s), ("measurement count m", m)):
+        if not 1 <= value <= d:
+            raise ValueError(f"{name}={value} must be in [1, {d}]")
+
+
 def generate_cs_instance(
     d: int, m: int, s: int, mu: float, p: float, rng: RngStream
 ) -> CsInstance:
     """Random Gaussian instance: A ~ N(0, 1/m) entrywise, x* s-sparse with
     nonzero magnitudes floored at 0.1, and exact measurements b = A x*."""
-    if not (1 <= s <= d):
-        raise ValueError(f"sparsity s={s} must be in [1, {d}]")
-    if not (1 <= m <= d):
-        raise ValueError(f"measurement count m={m} must be in [1, {d}]")
+    check_cs_sizes(d, m, s)
     gen = rng.generator(CHANNEL_INSTANCE)
     A = gen.standard_normal((m, d)) / np.sqrt(m)
     support = gen.choice(d, size=s, replace=False)
@@ -225,9 +228,10 @@ def finite_diff_grad(obj: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarr
 
 class ToyStochasticObjective(Objective):
     """Mini-batched quadratic: E_batch(x) = ||x - c_batch||^2 with batch
-    centers summing to zero, so the full-data minimizer is the origin."""
+    centers drawn from N(0, 0.25 I) and shifted to sum to zero, so the
+    full-data minimizer is the origin."""
 
-    def __init__(self, dimension: int, n_batches: int, center_scale: float = 0.5, seed: int = 0):
+    def __init__(self, dimension: int, n_batches: int, seed: int = 0):
         if n_batches < 1:
             raise ValueError("n_batches must be at least 1")
         self.dimension = dimension
@@ -236,7 +240,7 @@ class ToyStochasticObjective(Objective):
         if n_batches == 1:
             self.centers = np.zeros((1, dimension))
         else:
-            c = gen.standard_normal((n_batches, dimension)) * center_scale
+            c = gen.standard_normal((n_batches, dimension)) * 0.5
             self.centers = c - c.mean(axis=0)
 
     def _offsets(self, points, batch):

@@ -24,6 +24,7 @@ from cbo.dynamics import (
 )
 from cbo.harness import (
     ExperimentConfig,
+    PhaseDiagram,
     SuccessRule,
     TrialProblem,
     TrialSummary,
@@ -371,7 +372,7 @@ def test_repeated_runs_give_bit_identical_output_files(tmp_path, cs_convex_summa
     files = {}
     for split, summary in (("batched", cs_convex_summaries[1.0]), ("alone", alone)):
         path = tmp_path / f"summary_{split}.csv"
-        path.write_text(summary.to_csv("lambda3", 1.0, "m", 25))
+        path.write_text(PhaseDiagram("lambda3", [1.0], "m", [25], [[summary]]).to_csv())
         files[split] = path.read_bytes()
     # the per-trial states, not just aggregates, must coincide
     for a, b in zip(alone.outcomes, cs_convex_summaries[1.0].outcomes):

@@ -192,6 +192,38 @@ class TestRunCommand:
         assert not out.exists()
 
 
+SMALL_CS = {
+    "objective": {"kind": "cs"},
+    "experiment": {"n_particles": 5, "horizon_T": 0.1, "trials": 2},
+    "cs": {"d": 10, "m": 6, "s": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("run", {**SMALL_CS, "cs": {"d": 10, "m": 0, "s": 2}}),
+        ("decay", {**SMALL_CS, "cs": {"d": 10, "m": 6, "s": 0}}),
+        ("check-bounds", {**SMALL_CS, "cs": {"d": 10, "m": 11, "s": 2}}),
+        ("sweep-rastrigin", {"objective": {"kind": "rastrigin", "dimension": 2},
+                             "sweep": {"x_grid": [0.0], "y_grid": [0]}}),
+        ("sweep-cs", {**SMALL_CS, "sweep": {"x_grid": [0.0], "y_grid": [0]}}),
+        ("gradcheck", {"gradcheck": {"points": 0}}),
+        ("gradcheck", {"gradcheck": {"h": 0.0}}),
+    ],
+    ids=["cs.m=0", "cs.s=0", "cs.m>cs.d", "rastrigin-y_grid=0", "cs-y_grid=0",
+         "gradcheck.points=0", "gradcheck.h=0"],
+)
+def test_out_of_range_settings_are_config_errors(tmp_path, caplog, command, payload):
+    """Out-of-range sizes, sweep grid values and gradcheck settings exit 1
+    before anything runs, and no result file is written."""
+    out = tmp_path / "result.txt"
+    code = main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in caplog.text
+    assert not out.exists()
+
+
 class TestSweepCommands:
     def sweep_config(self, tmp_path):
         return write_config(

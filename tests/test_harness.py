@@ -12,11 +12,11 @@ from cbo.harness import (
     ExperimentConfig,
     PhaseDiagram,
     SuccessRule,
+    TrialOutcome,
     TrialProblem,
     TrialSummary,
     cs_experiment_config,
     cs_phase_diagram,
-    cs_recover,
     decay_experiment,
     rastrigin_phase_diagram,
     recover_support,
@@ -222,19 +222,31 @@ class TestRecoverSupport:
         assert res.reason == "singular support system"
 
 
+def fixed_instance_config(inst, **overrides):
+    """``sphere_config`` on the one sparse-recovery instance ``inst``, scored
+    by exact support recovery."""
+    return sphere_config(
+        objective_factory=lambda rng: TrialProblem(
+            CsObjective(inst), x_star=inst.ground_truth, instance=inst
+        ),
+        success=SuccessRule(kind="exact_sparse_recovery"),
+        **overrides,
+    )
+
+
 class TestCsRecover:
+    GRADIENT_RUN = dict(
+        params=CboParams(lambda1=1.0, lambda3=1.0, sigma1=0.0, alpha=100.0, dt=0.01, kappa=100.0),
+        n_particles=10,
+        init=InitSpec("gaussian", mean=0.0, std=1.0),
+    )
+
     def test_gradient_run_recovers_instance(self):
         inst = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
-        cfg = sphere_config(
-            params=CboParams(lambda1=1.0, lambda3=1.0, sigma1=0.0, alpha=100.0, dt=0.01, kappa=100.0),
-            n_particles=10,
-            horizon_T=20.0,
-            trials=1,
-            success=SuccessRule(kind="exact_sparse_recovery"),
-            init=InitSpec("gaussian", mean=0.0, std=1.0),
-        )
-        res = cs_recover(inst, cfg)
-        assert res.success
+        cfg = fixed_instance_config(inst, horizon_T=20.0, trials=1, **self.GRADIENT_RUN)
+        outcome = run_single_trial(cfg, 0)
+        assert outcome.success
+        res = recover_support(inst, outcome.consensus, cfg.success)
         np.testing.assert_allclose(res.x_hat, inst.ground_truth, atol=1e-4)
 
     def test_consensus_post_processed_once(self, monkeypatch):
@@ -246,39 +258,33 @@ class TestCsRecover:
 
         monkeypatch.setattr(cbo.harness, "recover_support", counting)
         inst = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
-        cfg = sphere_config(
-            params=CboParams(lambda1=1.0, lambda3=1.0, sigma1=0.0, alpha=100.0, dt=0.01, kappa=100.0),
-            n_particles=10,
-            horizon_T=1.0,
-            trials=1,
-            success=SuccessRule(kind="exact_sparse_recovery"),
-            init=InitSpec("gaussian", mean=0.0, std=1.0),
-        )
-        res = cs_recover(inst, cfg)
-        assert len(returned) == 1
-        assert res is returned[0]
+        cfg = fixed_instance_config(inst, horizon_T=1.0, trials=3, **self.GRADIENT_RUN)
+        summary = run_trials(cfg)
+        assert len(returned) == cfg.trials
+        for outcome, res in zip(summary.outcomes, returned):
+            assert (outcome.success, outcome.reason) == (res.success, res.reason)
 
     def test_divergence_reports_step(self):
-        """A diverged run is reported with the step at which the single
+        """A diverged trial is reported with the step at which the single
         trajectory of the same trial raises DivergedError."""
         inst = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
         # dt far above the gradient-flow stability limit: positions overflow
-        cfg = sphere_config(
+        cfg = fixed_instance_config(
+            inst,
             params=CboParams(lambda1=1.0, lambda3=10.0, dt=5.0, kappa=0.2, alpha=1e6),
             horizon_T=5000.0,
             trials=1,
-            success=SuccessRule(kind="exact_sparse_recovery"),
         )
-        res = cs_recover(inst, cfg)
+        outcome = run_single_trial(cfg, 0)
         obj = CsObjective(inst)
         rng = RngStream(cfg.seed, 0)
         ens = init_ensemble(cfg.n_particles, inst.d, cfg.init, rng, obj)
         with pytest.raises(DivergedError) as err:
             run(ens, cfg.params, cfg.schedule, obj, cfg.n_steps, rng)
-        assert not res.success
-        assert res.support.size == 0
-        assert res.x_hat is None
-        assert res.reason == f"diverged ensemble at step {err.value.step_index}"
+        assert outcome.diverged
+        assert not outcome.success
+        assert outcome.consensus is None
+        assert outcome.reason == f"diverged ensemble at step {err.value.step_index}"
 
     def test_fresh_instances_per_trial(self):
         cfg = sphere_config(trials=3, success=SuccessRule(kind="exact_sparse_recovery"))
@@ -308,10 +314,11 @@ class TestPhaseDiagrams:
 
     def test_shape_and_range(self):
         diagram = self.make_diagram()
-        assert diagram.cells.shape == (2, 2)
-        assert np.all((diagram.cells >= 0) & (diagram.cells <= 1))
-        assert np.all(diagram.ci_low <= diagram.cells)
-        assert np.all(diagram.cells <= diagram.ci_high)
+        assert [len(row) for row in diagram.cells] == [2, 2]
+        for row in diagram.cells:
+            for cell in row:
+                assert 0 <= cell.ci_low <= cell.probability <= cell.ci_high <= 1
+                assert cell.trials == len(cell.outcomes) == 4
 
     def test_csv_round_trip(self):
         diagram = self.make_diagram()
@@ -325,7 +332,7 @@ class TestPhaseDiagrams:
         }
         for j, n in enumerate(diagram.y_grid):
             for i, l2 in enumerate(diagram.x_grid):
-                assert got[(l2, n)] == diagram.cells[j, i]
+                assert got[(l2, n)] == diagram.cells[j][i].probability
 
     def test_json_contains_provenance(self):
         payload = json.loads(self.make_diagram().to_json())
@@ -339,7 +346,9 @@ class TestPhaseDiagrams:
         batched = self.make_diagram()
         monkeypatch.setattr(cbo.harness, "run_trials", trial_at_a_time)
         alone = self.make_diagram()
-        np.testing.assert_array_equal(batched.cells, alone.cells)
+        assert [[c.probability for c in row] for row in batched.cells] == [
+            [c.probability for c in row] for row in alone.cells
+        ]
         assert batched.to_csv() == alone.to_csv()
 
     def test_sigma2_couplings(self):
@@ -350,7 +359,7 @@ class TestPhaseDiagrams:
         )
         for coupling in ("zero", "lambda2_sigma1", "lambda1_sigma1"):
             d = rastrigin_phase_diagram([0.5], [5], base, sigma2_coupling=coupling)
-            assert d.cells.shape == (1, 1)
+            assert [len(row) for row in d.cells] == [1]
         with pytest.raises(ValueError, match="coupling"):
             rastrigin_phase_diagram([0.5], [5], base, sigma2_coupling="other")
 
@@ -363,7 +372,7 @@ class TestPhaseDiagrams:
             success=SuccessRule(kind="exact_sparse_recovery"),
         )
         d = cs_phase_diagram([0.0, 1.0], [6, 8], {"d": 10, "s": 2, "mu": 0.03, "p": 1.0}, base)
-        assert d.cells.shape == (2, 2)
+        assert [len(row) for row in d.cells] == [2, 2]
         assert json.loads(d.to_json())["config"]["experiment"] == "compressed_sensing"
 
     def test_empty_grid_rejected(self):
@@ -416,7 +425,73 @@ class TestDecayExperiment:
 class TestTrialSummarySerialization:
     def test_to_csv_single_row(self):
         summary = run_trials(sphere_config(trials=4))
-        rows = list(csv.DictReader(io.StringIO(summary.to_csv("lambda2", 2.0, "n", 20))))
+        diagram = PhaseDiagram("lambda2", [2.0], "n", [20], [[summary]])
+        rows = list(csv.DictReader(io.StringIO(diagram.to_csv())))
         assert len(rows) == 1
         assert float(rows[0]["success_prob"]) == summary.probability
         assert int(rows[0]["trials"]) == 4
+
+    def test_phase_diagram_file_formats(self):
+        """The CSV and JSON of a 1x2 diagram, byte for byte."""
+        mixed = TrialSummary.from_outcomes([
+            TrialOutcome(0, success=True, consensus=np.zeros(2)),
+            TrialOutcome(1, success=False, consensus=np.ones(2)),
+            TrialOutcome(2, success=False, diverged=True, reason="diverged ensemble at step 7"),
+        ])
+        solved = TrialSummary.from_outcomes(
+            [TrialOutcome(t, success=True, consensus=np.zeros(2)) for t in range(3)]
+        )
+        diagram = PhaseDiagram(
+            "lambda2", [0.5, 2.0], "n_particles", [10], [[mixed, solved]],
+            provenance={"experiment": "rastrigin", "seed": 0},
+        )
+        assert diagram.to_csv() == (
+            "x_param,x_value,y_param,y_value,success_prob,ci_low,ci_high,trials,failures\r\n"
+            "lambda2,0.5,n_particles,10,0.3333333333333333,0.06149194472039621,"
+            "0.7923403991979522,3,1\r\n"
+            "lambda2,2.0,n_particles,10,1.0,0.4385029682449546,1.0,3,0\r\n"
+        )
+        assert diagram.to_json() == EXPECTED_DIAGRAM_JSON
+
+
+EXPECTED_DIAGRAM_JSON = """\
+{
+  "x_param": "lambda2",
+  "x_grid": [
+    0.5,
+    2.0
+  ],
+  "y_param": "n_particles",
+  "y_grid": [
+    10
+  ],
+  "trials_per_cell": 3,
+  "cells": [
+    [
+      0.3333333333333333,
+      1.0
+    ]
+  ],
+  "ci_low": [
+    [
+      0.06149194472039621,
+      0.4385029682449546
+    ]
+  ],
+  "ci_high": [
+    [
+      0.7923403991979522,
+      1.0
+    ]
+  ],
+  "failures": [
+    [
+      1,
+      0
+    ]
+  ],
+  "config": {
+    "experiment": "rastrigin",
+    "seed": 0
+  }
+}"""
