@@ -122,15 +122,7 @@ class ResolvedConfig:
         return self.sections[section]
 
     def to_yaml(self) -> str:
-        dump = {}
-        for section, values in self.sections.items():
-            out = {}
-            for key, val in values.items():
-                if isinstance(val, float) and math.isinf(val):
-                    val = "inf"
-                out[key] = val
-            dump[section] = out
-        return yaml.safe_dump(dump, sort_keys=True)
+        return yaml.safe_dump(self.sections, sort_keys=True)
 
     # ---- builders -------------------------------------------------
 

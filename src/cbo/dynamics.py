@@ -255,8 +255,6 @@ def consensus_point(points, energies, alpha, subset=None) -> np.ndarray:
     energies = np.asarray(energies, dtype=float)
     if subset is not None:
         subset = np.asarray(subset, dtype=int)
-        if subset.size == 0:
-            raise ValueError("empty consensus set")
         points = np.take_along_axis(points, subset[..., None], axis=-2)
         energies = np.take_along_axis(energies, subset, axis=-1)
     if points.shape[-2] == 0:
@@ -523,7 +521,7 @@ def run(
         snapshot(ens)
 
     step_params = schedule.params_at(params, ens.step_index)
-    realized = 0
+    start = ens.step_index
     batched = objective.n_batches > 1
     for _ in range(max_steps):
         if not ens.active.any():
@@ -533,7 +531,6 @@ def run(
         if batched:
             batch = rng.draw(CHANNEL_BATCH, lambda gen: gen.integers(objective.n_batches))
         step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
-        realized += 1
         if record:
             snapshot(ens)
 
@@ -542,4 +539,4 @@ def run(
         last = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)
         consensus = np.where(ens.active[..., None], last, consensus)
     diagnostics = {key: np.asarray(val) for key, val in diagnostics.items()}
-    return RunResult(ens, consensus, realized, diagnostics)
+    return RunResult(ens, consensus, ens.step_index - start, diagnostics)

@@ -22,7 +22,8 @@ from .dynamics import (
     run,
 )
 from .objectives import (
-    CsInstance, CsObjective, Objective, check_cs_sizes, generate_cs_instance,
+    CsInstance, CsObjective, Objective, check_cs_regularizer, check_cs_sizes,
+    generate_cs_instance,
 )
 from .rng import RngStream
 from .theory import AssumptionConstants, DecayFit, chi_rates, fit_exponential_rate
@@ -172,13 +173,9 @@ def recover_support(inst: CsInstance, consensus: np.ndarray, rule: SuccessRule) 
 
 def _score(problem: TrialProblem, consensus: np.ndarray, rule: SuccessRule) -> tuple[bool, str | None]:
     if rule.kind == "consensus_near_minimizer":
-        if problem.x_star is None:
-            raise ValueError("success rule needs a known minimizer")
         diff = consensus - problem.x_star
         dist = np.max(np.abs(diff)) if rule.norm == "inf" else np.linalg.norm(diff)
         return bool(dist < rule.threshold), None
-    if problem.instance is None:
-        raise ValueError("exact_sparse_recovery needs a CsInstance")
     res = recover_support(problem.instance, consensus, rule)
     return res.success, res.reason
 
@@ -189,6 +186,12 @@ def _run_outcomes(config: ExperimentConfig, trials: Sequence[int]) -> list[Trial
     outcome is the same in any batch."""
     rng = RngStream(config.seed, trials)
     problems = [config.objective_factory(RngStream(config.seed, t)) for t in rng.trials]
+    # the problems must carry what the success rule scores against
+    kind = config.success.kind
+    if kind == "consensus_near_minimizer" and any(p.x_star is None for p in problems):
+        raise ValueError("success rule needs a known minimizer")
+    if kind == "exact_sparse_recovery" and any(p.instance is None for p in problems):
+        raise ValueError("exact_sparse_recovery needs a CsInstance")
     objective = type(problems[0].objective).stack([p.objective for p in problems])
     ens = init_ensemble(config.n_particles, objective.dimension, config.init, rng, objective)
     result = run(
@@ -277,6 +280,9 @@ def _sweep(
     return PhaseDiagram(x_param, list(x_grid), y_param, list(y_grid), cells, provenance)
 
 
+SIGMA2_COUPLINGS = ("zero", "lambda2_sigma1", "lambda1_sigma1")
+
+
 def rastrigin_phase_diagram(
     lambda2_grid,
     n_grid,
@@ -288,7 +294,7 @@ def rastrigin_phase_diagram(
     sigma2_coupling picks the memory-noise convention: "zero" (no memory
     noise), "lambda2_sigma1" (sigma2 = lambda2 * sigma1) or "lambda1_sigma1"
     (sigma2 = lambda1 * sigma1)."""
-    if sigma2_coupling not in ("zero", "lambda2_sigma1", "lambda1_sigma1"):
+    if sigma2_coupling not in SIGMA2_COUPLINGS:
         raise ValueError(f"unknown sigma2 coupling {sigma2_coupling!r}")
 
     def cell(lambda2, n):
@@ -316,6 +322,7 @@ def cs_instance_factory(
     from the trial's instance channel, averaging over measurement
     randomness."""
     check_cs_sizes(d, m, s)
+    check_cs_regularizer(mu, p)
 
     def factory(rng: RngStream) -> TrialProblem:
         inst = generate_cs_instance(d, m, s, mu, p, rng)

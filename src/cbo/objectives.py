@@ -104,14 +104,14 @@ class CsInstance:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        if self.p not in (1.0, 0.5):
-            raise ValueError(f"unsupported exponent p={self.p}")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        check_cs_regularizer(self.mu, self.p)
 
     @property
     def d(self) -> int:
         return self.A.shape[1]
+
+
+CS_SMOOTHING_EPS = 1e-8
 
 
 class CsObjective(Objective):
@@ -120,8 +120,8 @@ class CsObjective(Objective):
     (M, m, d) and ``b`` (M, m).
 
     The gradient is a subgradient for p=1, with sign(0) = 0; for p=1/2 the
-    singular factor |x|^(p-1) is capped by adding ``smoothing_eps`` inside,
-    with gradient 0 at exactly 0 when ``smoothing_eps`` is 0.
+    singular factor |x|^(p-1) is capped by adding eps = ``CS_SMOOTHING_EPS``
+    inside, and sign(0) = 0 again gives gradient 0 at exactly 0.
 
     Its residual ``A x - b`` of shape (..., N, m) comes from
     ``values(points, batch, with_residual=True)``, which
@@ -132,20 +132,18 @@ class CsObjective(Objective):
     so they are bit-identical to them.
     """
 
-    def __init__(self, inst: CsInstance, smoothing_eps: float = 1e-8):
+    def __init__(self, inst: CsInstance):
         self.A = inst.A
         self.b = inst.b
         self.mu = inst.mu
         self.p = inst.p
         self.dimension = inst.d
-        self.smoothing_eps = smoothing_eps
 
     @classmethod
     def stack(cls, objectives: list["CsObjective"]) -> "CsObjective":
         first = objectives[0]
-        if any((o.mu, o.p, o.smoothing_eps) != (first.mu, first.p, first.smoothing_eps)
-               for o in objectives):
-            raise ValueError("trials of one batch need equal mu, p and smoothing")
+        if any((o.mu, o.p) != (first.mu, first.p) for o in objectives):
+            raise ValueError("trials of one batch need equal mu and p")
         out = copy.copy(first)
         out.A = np.stack([o.A for o in objectives])
         out.b = np.stack([o.b for o in objectives])
@@ -179,15 +177,19 @@ class CsObjective(Objective):
             if self.p != 1.0:
                 reg *= self.p
                 scale = np.abs(points)
-                scale += self.smoothing_eps
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.power(scale, self.p - 1.0, out=scale)
-                    reg *= scale
-                if self.smoothing_eps == 0.0:
-                    reg[points == 0.0] = 0.0
+                scale += CS_SMOOTHING_EPS
+                np.power(scale, self.p - 1.0, out=scale)
+                reg *= scale
             reg *= self.mu
             g += reg
         return g
+
+
+def check_cs_regularizer(mu: float, p: float) -> None:
+    if p not in (1.0, 0.5):
+        raise ValueError(f"unsupported exponent p={p}")
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
 
 
 def check_cs_sizes(d: int, m: int, s: int) -> None:
@@ -237,11 +239,8 @@ class ToyStochasticObjective(Objective):
         self.dimension = dimension
         self.n_batches = n_batches
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        if n_batches == 1:
-            self.centers = np.zeros((1, dimension))
-        else:
-            c = gen.standard_normal((n_batches, dimension)) * 0.5
-            self.centers = c - c.mean(axis=0)
+        c = gen.standard_normal((n_batches, dimension)) * 0.5
+        self.centers = c - c.mean(axis=0)
 
     def _offsets(self, points, batch):
         # one batch index per trial; its center applies to all its particles

@@ -80,7 +80,7 @@ class TestConfigResolution:
         assert math.isinf(cfg["params"]["beta"])
 
     def test_yaml_round_trip(self):
-        cfg = resolve({"params": {"lambda2": 2.0, "beta": "inf"}})
+        cfg = resolve({"params": {"lambda2": 2.0, "beta": "inf"}, "init": {"low": -math.inf}})
         again = resolve(yaml.safe_load(cfg.to_yaml()))
         assert again.sections == cfg.sections
 
@@ -197,6 +197,7 @@ SMALL_CS = {
     "experiment": {"n_particles": 5, "horizon_T": 0.1, "trials": 2},
     "cs": {"d": 10, "m": 6, "s": 2},
 }
+DECAY = yaml.safe_load((CONFIG_DIR / "decay.yaml").read_text())
 
 
 @pytest.mark.parametrize(
@@ -210,13 +211,22 @@ SMALL_CS = {
         ("sweep-cs", {**SMALL_CS, "sweep": {"x_grid": [0.0], "y_grid": [0]}}),
         ("gradcheck", {"gradcheck": {"points": 0}}),
         ("gradcheck", {"gradcheck": {"h": 0.0}}),
+        ("run", {**SMALL_CS, "cs": {"d": 10, "m": 6, "s": 2, "p": 0.7}}),
+        ("sweep-cs", {**SMALL_CS, "cs": {"d": 10, "m": 6, "s": 2, "mu": -1.0}}),
+        ("sweep-rastrigin", {"objective": {"kind": "rastrigin", "dimension": 2},
+                             "sweep": {"sigma2_coupling": "other"}}),
+        ("check-bounds", {**DECAY, "theory": {**DECAY["theory"], "vartheta": 1.5}}),
+        ("check-bounds", {"theory": {"cases": 0}}),
+        ("decay", {**DECAY, "theory": {**DECAY["theory"], "eps": 0.0}}),
     ],
     ids=["cs.m=0", "cs.s=0", "cs.m>cs.d", "rastrigin-y_grid=0", "cs-y_grid=0",
-         "gradcheck.points=0", "gradcheck.h=0"],
+         "gradcheck.points=0", "gradcheck.h=0", "cs.p=0.7", "cs.mu=-1",
+         "sigma2_coupling=other", "theory.vartheta=1.5", "theory.cases=0", "theory.eps=0"],
 )
 def test_out_of_range_settings_are_config_errors(tmp_path, caplog, command, payload):
-    """Out-of-range sizes, sweep grid values and gradcheck settings exit 1
-    before anything runs, and no result file is written."""
+    """Out-of-range sizes, regularizer, sweep grid values and coupling, theory
+    and gradcheck settings exit 1 before anything runs, and no result file is
+    written."""
     out = tmp_path / "result.txt"
     code = main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
     assert code == EXIT_CONFIG
@@ -341,6 +351,16 @@ class TestTheoryCommands:
         payload = json.loads(out.read_text())
         assert payload["chi1"] == pytest.approx(0.92)
         assert payload["chi2"] == pytest.approx(12.5)
+        assert payload["laplace_holds"] == payload["laplace_cases"]
+
+    def test_laplace_count_excludes_skipped_cases(self, tmp_path):
+        """Cases whose precondition E_r < E_inf fails are not checked and not
+        counted, so the bound holds on every case counted."""
+        path = write_config(tmp_path, {"objective": {"kind": "sphere", "dimension": 4}})
+        out = tmp_path / "bounds.json"
+        assert main(["check-bounds", "--config", path, "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert 0 < payload["laplace_cases"] < 1000
         assert payload["laplace_holds"] == payload["laplace_cases"]
 
     def test_decay_bracket(self, tmp_path):

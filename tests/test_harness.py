@@ -160,6 +160,27 @@ class TestRunTrials:
         with pytest.raises(np.exceptions.AxisError):
             run_trials(cfg)
 
+    @pytest.mark.parametrize(
+        "success, problem, message",
+        [
+            (SuccessRule(kind="exact_sparse_recovery"), TrialProblem(Sphere(2), np.zeros(2)),
+             "exact_sparse_recovery needs a CsInstance"),
+            (SuccessRule(), TrialProblem(Sphere(2)), "success rule needs a known minimizer"),
+        ],
+        ids=["recovery-without-instance", "distance-without-minimizer"],
+    )
+    def test_mismatched_success_rule_raises_before_the_run(
+        self, monkeypatch, success, problem, message
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the trials started")
+
+        monkeypatch.setattr(cbo.harness, "init_ensemble", not_reached)
+        monkeypatch.setattr(cbo.harness, "run", not_reached)
+        cfg = sphere_config(success=success, objective_factory=lambda rng: problem)
+        with pytest.raises(ValueError, match=message):
+            run_trials(cfg)
+
     def test_adjacent_seeds_share_no_trial_stream(self):
         cfg = sphere_config(trials=5)
         draws = {

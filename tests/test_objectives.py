@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cbo.objectives import (
+    CS_SMOOTHING_EPS,
     CsInstance,
     CsObjective,
     Rastrigin,
@@ -124,7 +125,7 @@ class TestCsGrad:
     def test_p_half_matches_finite_differences(self):
         gen = np.random.Generator(np.random.PCG64(9))
         inst = generate_cs_instance(10, 6, 2, 0.4, 0.5, RngStream(22))
-        obj = CsObjective(inst, smoothing_eps=0.0)
+        obj = CsObjective(inst)
         for _ in range(100):
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1
@@ -137,31 +138,30 @@ class TestCsGrad:
 
     def test_p_half_zero_stays_finite(self):
         inst = CsInstance(A=np.eye(2), b=np.zeros(2), mu=1.0, p=0.5)
-        g = CsObjective(inst, smoothing_eps=0.0).grad(np.zeros(2))
+        g = CsObjective(inst).grad(np.zeros(2))
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(g, 0.0)
 
     def test_objective_gradients_match_scalar(self):
         pts = np.random.Generator(np.random.PCG64(3)).standard_normal((10, 6))
         pts[0, :2] = 0.0  # the sign(0) and smoothing conventions
-        for p, eps in ((0.5, 1e-8), (0.5, 0.0), (1.0, 1e-8)):
+        for p in (0.5, 1.0):
             inst = generate_cs_instance(6, 4, 2, 0.2, p, RngStream(4))
-            obj = CsObjective(inst, smoothing_eps=eps)
+            obj = CsObjective(inst)
             np.testing.assert_allclose(
-                obj.gradients(pts), [cs_grad(inst, x, eps) for x in pts], rtol=1e-12
+                obj.gradients(pts), [cs_grad(inst, x) for x in pts], rtol=1e-12
             )
 
     @pytest.mark.parametrize("p", [0.5, 1.0])
-    @pytest.mark.parametrize("eps", [1e-8, 0.0])
     @pytest.mark.parametrize("trials", [None, 3])
-    def test_in_place_forms_equal_out_of_place_expressions_bit_for_bit(self, p, eps, trials):
+    def test_in_place_forms_equal_out_of_place_expressions_bit_for_bit(self, p, trials):
         gen = np.random.Generator(np.random.PCG64(5))
         insts = [generate_cs_instance(12, 6, 2, 0.3, p, RngStream(s)) for s in range(3)]
         if trials is None:
-            obj = CsObjective(insts[0], smoothing_eps=eps)
+            obj = CsObjective(insts[0])
             pts = gen.standard_normal((20, 12))
         else:
-            obj = CsObjective.stack([CsObjective(i, smoothing_eps=eps) for i in insts])
+            obj = CsObjective.stack([CsObjective(i) for i in insts])
             pts = gen.standard_normal((trials, 20, 12))
         pts[gen.random(pts.shape) < 0.25] = 0.0
         pts[..., 0, :3] = -0.0
@@ -175,10 +175,7 @@ class TestCsGrad:
         if p == 1.0:
             grads = grads + mu * np.sign(pts)
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reg = np.sign(pts) * p * (np.abs(pts) + eps) ** (p - 1.0)
-            if eps == 0.0:
-                reg = np.where(pts == 0.0, 0.0, reg)
+            reg = np.sign(pts) * p * (np.abs(pts) + CS_SMOOTHING_EPS) ** (p - 1.0)
             grads = grads + mu * reg
 
         got_values, got_residual = obj.values(pts, with_residual=True)
