@@ -28,7 +28,6 @@ from .harness import (
     wilson_interval,
 )
 from .objectives import (
-    CsInstance,
     CsObjective,
     Objective,
     Rastrigin,

@@ -91,6 +91,7 @@ def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
         base,
         sigma2_coupling=coupling,
     )
+    diagram.provenance["objective"] = dict(cfg["objective"])
     return (diagram.to_csv() if args.format == "csv" else diagram.to_json()), EXIT_OK
 
 

@@ -461,8 +461,8 @@ def init_ensemble(
 ) -> Ensemble:
     """n particles in d dimensions drawn from ``init``, one ensemble per
     trial of ``rng`` (a trial axis when ``rng`` covers a batch), at step 0.
-    The memories start at the positions, with their energies on the full
-    objective (no mini-batch).
+    The memories start at the positions, with their energies at
+    ``batch=None``, which a mini-batched objective evaluates on batch 0.
 
     Raises ValueError, naming the trials, when the objective is not finite
     at some initial position: the consensus weights need finite energies."""

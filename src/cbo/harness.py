@@ -22,8 +22,7 @@ from .dynamics import (
     run,
 )
 from .objectives import (
-    CsInstance, CsObjective, Objective, check_cs_regularizer, check_cs_sizes,
-    generate_cs_instance,
+    CsObjective, Objective, check_cs_regularizer, check_cs_sizes, generate_cs_instance,
 )
 from .rng import RngStream
 from .theory import AssumptionConstants, DecayFit, chi_rates, fit_exponential_rate
@@ -35,8 +34,8 @@ class SuccessRule:
 
     kind "consensus_near_minimizer": final consensus within ``threshold`` of
     x* in the given norm ("inf" or "2").  kind "exact_sparse_recovery":
-    thresholded support recovery followed by least squares, see
-    :func:`recover_support`.
+    thresholded support recovery followed by least squares on a
+    ``CsObjective``, see :func:`recover_support`.
     """
 
     kind: str = "consensus_near_minimizer"
@@ -58,7 +57,6 @@ class SuccessRule:
 class TrialProblem:
     objective: Objective
     x_star: np.ndarray | None = None
-    instance: CsInstance | None = None
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,7 @@ class ExperimentConfig:
     n_consensus: int | None = None
 
     def __post_init__(self):
-        steps = self.horizon_T / self.params.dt
-        if not math.isclose(steps, round(steps), abs_tol=1e-9) or round(steps) <= 0:
-            raise ValueError("horizon_T must be a positive integer multiple of dt")
+        horizon_steps(self.horizon_T, self.params.dt)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.n_particles < 1:
@@ -95,7 +91,16 @@ class ExperimentConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.horizon_T / self.params.dt)
+        return horizon_steps(self.horizon_T, self.params.dt)
+
+
+def horizon_steps(horizon: float, dt: float) -> int:
+    """The number of steps of size ``dt`` that reach ``horizon``, which must
+    be a positive integer multiple of ``dt``."""
+    steps = horizon / dt
+    if not math.isclose(steps, round(steps), abs_tol=1e-9) or round(steps) <= 0:
+        raise ValueError("horizon_T must be a positive integer multiple of dt")
+    return round(steps)
 
 
 @dataclass
@@ -150,24 +155,21 @@ class RecoveryResult:
     reason: str | None = None
 
 
-def recover_support(inst: CsInstance, consensus: np.ndarray, rule: SuccessRule) -> RecoveryResult:
+def recover_support(problem: TrialProblem, consensus: np.ndarray, rule: SuccessRule) -> RecoveryResult:
     """Post-processing: threshold the consensus entries at
-    rule.support_threshold, solve least squares on the restricted columns and
-    compare against the ground truth."""
+    rule.support_threshold, solve least squares on the restricted columns of
+    the problem's ``CsObjective`` and compare against its ``x_star``."""
+    A, b, x_star = problem.objective.A, problem.objective.b, problem.x_star
     support = np.flatnonzero(np.abs(consensus) >= rule.support_threshold)
     if support.size == 0:
         return RecoveryResult(False, support, reason="empty support")
-    a_s = inst.A[:, support]
-    if np.linalg.matrix_rank(a_s) < support.size:
+    z, _, rank, _ = np.linalg.lstsq(A[:, support], b, rcond=None)
+    if rank < support.size:
         return RecoveryResult(False, support, reason="singular support system")
-    z, *_ = np.linalg.lstsq(a_s, inst.b, rcond=None)
-    x_hat = np.zeros(inst.d)
+    x_hat = np.zeros_like(x_star)
     x_hat[support] = z
-    if inst.ground_truth is None:
-        return RecoveryResult(False, support, x_hat, reason="no ground truth")
-    true_support = np.flatnonzero(inst.ground_truth)
-    covers = np.isin(true_support, support).all()
-    matches = np.max(np.abs(x_hat - inst.ground_truth)) <= rule.residual_tol
+    covers = np.isin(np.flatnonzero(x_star), support).all()
+    matches = np.max(np.abs(x_hat - x_star)) <= rule.residual_tol
     return RecoveryResult(bool(covers and matches), support, x_hat)
 
 
@@ -176,7 +178,7 @@ def _score(problem: TrialProblem, consensus: np.ndarray, rule: SuccessRule) -> t
         diff = consensus - problem.x_star
         dist = np.max(np.abs(diff)) if rule.norm == "inf" else np.linalg.norm(diff)
         return bool(dist < rule.threshold), None
-    res = recover_support(problem.instance, consensus, rule)
+    res = recover_support(problem, consensus, rule)
     return res.success, res.reason
 
 
@@ -187,11 +189,12 @@ def _run_outcomes(config: ExperimentConfig, trials: Sequence[int]) -> list[Trial
     rng = RngStream(config.seed, trials)
     problems = [config.objective_factory(RngStream(config.seed, t)) for t in rng.trials]
     # the problems must carry what the success rule scores against
-    kind = config.success.kind
-    if kind == "consensus_near_minimizer" and any(p.x_star is None for p in problems):
+    if any(p.x_star is None for p in problems):
         raise ValueError("success rule needs a known minimizer")
-    if kind == "exact_sparse_recovery" and any(p.instance is None for p in problems):
-        raise ValueError("exact_sparse_recovery needs a CsInstance")
+    if config.success.kind == "exact_sparse_recovery" and not all(
+        isinstance(p.objective, CsObjective) for p in problems
+    ):
+        raise ValueError("exact_sparse_recovery needs a CsObjective")
     objective = type(problems[0].objective).stack([p.objective for p in problems])
     ens = init_ensemble(config.n_particles, objective.dimension, config.init, rng, objective)
     result = run(
@@ -325,8 +328,7 @@ def cs_instance_factory(
     check_cs_regularizer(mu, p)
 
     def factory(rng: RngStream) -> TrialProblem:
-        inst = generate_cs_instance(d, m, s, mu, p, rng)
-        return TrialProblem(CsObjective(inst), x_star=inst.ground_truth, instance=inst)
+        return TrialProblem(*generate_cs_instance(d, m, s, mu, p, rng))
 
     return factory
 
@@ -411,9 +413,9 @@ def decay_experiment(
     rates = chi_rates(params, constants)
     if rates.chi1 <= 0:
         raise ValueError("no guarantee regime: chi1 must be positive")
+    steps = horizon_steps(horizon, params.dt)
     rng = RngStream(seed)
     ens = init_ensemble(n_particles, objective.dimension, init, rng, objective)
-    steps = round(horizon / params.dt)
     result = run(ens, params, Schedule(), objective, steps, rng, x_star=x_star)
     times = result.diagnostics["time"]
     values = result.diagnostics["lyapunov"]
@@ -452,4 +454,7 @@ def _config_provenance(config: ExperimentConfig) -> dict:
         "trials": config.trials,
         "seed": config.seed,
         "success": asdict(config.success),
+        "schedule": asdict(config.schedule),
+        "init": asdict(config.init),
+        "n_consensus": config.n_consensus,
     }

@@ -3,9 +3,6 @@ sparse recovery, and gradient-verification helpers."""
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rng import CHANNEL_INSTANCE, RngStream
@@ -20,8 +17,9 @@ class Objective:
     (..., N, d); it is needed only when a gradient drift or gradient noise
     term is active.  Subclasses set ``dimension`` (or take it through this
     constructor).  A batched objective exposes ``n_batches > 1`` and
-    interprets the ``batch`` argument, one mini-batch index per trial;
-    non-batched objectives ignore it.
+    interprets the ``batch`` argument, one mini-batch index per trial, with
+    ``batch=None`` meaning batch 0, not the mean over batches; non-batched
+    objectives ignore it.
 
     An objective whose gradients recompute part of its values may also
     override ``values_and_residual``, which returns the energies together
@@ -91,33 +89,14 @@ class Rastrigin(Objective):
         return 2.0 * points + 5.0 * np.pi * np.sin(2.0 * np.pi * points)
 
 
-@dataclass
-class CsInstance:
-    """Sparse-recovery problem instance: recover x* with b = A x*."""
-
-    A: np.ndarray
-    b: np.ndarray
-    mu: float
-    p: float
-    ground_truth: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        check_cs_regularizer(self.mu, self.p)
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[1]
-
-
 CS_SMOOTHING_EPS = 1e-8
 
 
 class CsObjective(Objective):
-    """E(x) = 1/2 ||Ax - b||^2 + mu ||x||_p^p of a CsInstance, for the
-    particle dynamics.  Stacked over a batch of trials, ``A`` has shape
-    (M, m, d) and ``b`` (M, m).
+    """Sparse-recovery problem instance, recovering x* from b = A x*: the
+    energy E(x) = 1/2 ||Ax - b||^2 + mu ||x||_p^p for the particle dynamics.
+    ``A`` has shape (m, d) and ``b`` (m,); stacked over a batch of trials,
+    (M, m, d) and (M, m).
 
     The gradient is a subgradient for p=1, with sign(0) = 0; for p=1/2 the
     singular factor |x|^(p-1) is capped by adding eps = ``CS_SMOOTHING_EPS``
@@ -132,22 +111,23 @@ class CsObjective(Objective):
     so they are bit-identical to them.
     """
 
-    def __init__(self, inst: CsInstance):
-        self.A = inst.A
-        self.b = inst.b
-        self.mu = inst.mu
-        self.p = inst.p
-        self.dimension = inst.d
+    def __init__(self, A: np.ndarray, b: np.ndarray, mu: float, p: float):
+        check_cs_regularizer(mu, p)
+        self.A = np.asarray(A, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.mu = mu
+        self.p = p
+        self.dimension = self.A.shape[-1]
 
     @classmethod
     def stack(cls, objectives: list["CsObjective"]) -> "CsObjective":
         first = objectives[0]
         if any((o.mu, o.p) != (first.mu, first.p) for o in objectives):
             raise ValueError("trials of one batch need equal mu and p")
-        out = copy.copy(first)
-        out.A = np.stack([o.A for o in objectives])
-        out.b = np.stack([o.b for o in objectives])
-        return out
+        return cls(
+            np.stack([o.A for o in objectives]), np.stack([o.b for o in objectives]),
+            first.mu, first.p,
+        )
 
     def _residual(self, points):
         r = points @ self.A.mT
@@ -200,9 +180,10 @@ def check_cs_sizes(d: int, m: int, s: int) -> None:
 
 def generate_cs_instance(
     d: int, m: int, s: int, mu: float, p: float, rng: RngStream
-) -> CsInstance:
-    """Random Gaussian instance: A ~ N(0, 1/m) entrywise, x* s-sparse with
-    nonzero magnitudes floored at 0.1, and exact measurements b = A x*."""
+) -> tuple[CsObjective, np.ndarray]:
+    """Random Gaussian instance and its ground truth x*: A ~ N(0, 1/m)
+    entrywise, x* s-sparse with nonzero magnitudes floored at 0.1, and exact
+    measurements b = A x*."""
     check_cs_sizes(d, m, s)
     gen = rng.generator(CHANNEL_INSTANCE)
     A = gen.standard_normal((m, d)) / np.sqrt(m)
@@ -212,7 +193,7 @@ def generate_cs_instance(
     vals[vals == 0.0] = 0.1
     x_star = np.zeros(d)
     x_star[support] = vals
-    return CsInstance(A=A, b=A @ x_star, mu=mu, p=p, ground_truth=x_star)
+    return CsObjective(A, A @ x_star, mu, p), x_star
 
 
 def finite_diff_grad(obj: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -7,7 +7,7 @@ them.
 
 import numpy as np
 
-from cbo.objectives import CsInstance
+from cbo.objectives import CsObjective
 
 
 def rastrigin(x: np.ndarray) -> float:
@@ -20,14 +20,14 @@ def rastrigin_grad(x: np.ndarray) -> np.ndarray:
     return 2.0 * x + 5.0 * np.pi * np.sin(2.0 * np.pi * x)
 
 
-def cs_eval(inst: CsInstance, x: np.ndarray) -> float:
+def cs_eval(inst: CsObjective, x: np.ndarray) -> float:
     """E(x) = 1/2 ||Ax - b||^2 + mu ||x||_p^p."""
     x = np.asarray(x, dtype=float)
     residual = inst.A @ x - inst.b
     return float(0.5 * residual @ residual + inst.mu * np.sum(np.abs(x) ** inst.p))
 
 
-def cs_grad(inst: CsInstance, x: np.ndarray, smoothing_eps: float = 1e-8) -> np.ndarray:
+def cs_grad(inst: CsObjective, x: np.ndarray, smoothing_eps: float = 1e-8) -> np.ndarray:
     """Gradient (subgradient for p=1, smoothed for p=1/2) of cs_eval.
 
     sign(0) = 0 for p=1; for p<1 the singular factor |x|^(p-1) is capped by

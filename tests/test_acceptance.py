@@ -34,7 +34,6 @@ from cbo.harness import (
     run_trials,
 )
 from cbo.objectives import (
-    CsObjective,
     Rastrigin,
     Sphere,
     ToyStochasticObjective,
@@ -137,16 +136,15 @@ def recorded_runs():
     )
 
     rng = RngStream(0)
-    inst = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
-    obj = CsObjective(inst)
+    obj, x_star = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
     params = CboParams(lambda3=1.0, **CS_PARAMS)
     ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj)
     runs["sparse_recovery"] = (
         run(
             ens, params, Schedule(), obj, 2000, rng,
-            x_star=inst.ground_truth,
+            x_star=x_star,
         ),
-        inst.ground_truth,
+        x_star,
     )
 
     rng = RngStream(0)
@@ -314,8 +312,7 @@ def test_analytic_gradients_match_finite_differences():
         worst = max(worst, rel_err(obj.grad(x), finite_diff_grad(obj, x)))
 
     for p in (1.0, 0.5):
-        inst = generate_cs_instance(10, 6, 2, 0.4, p, RngStream(int(p * 10)))
-        obj = CsObjective(inst)
+        obj, _ = generate_cs_instance(10, 6, 2, 0.4, p, RngStream(int(p * 10)))
         for _ in range(100):
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1  # keep clear of the non-smooth set
@@ -341,8 +338,7 @@ def test_memory_energies_never_increase(recorded_runs):
             params = CboParams(lambda2=2.0, **RASTRIGIN_PARAMS)
             ens = init_ensemble(100, 4, InitSpec("gaussian", mean=1.5, std=1.0), rng, obj)
         else:
-            inst = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
-            obj = CsObjective(inst)
+            obj, _ = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
             params = CboParams(lambda3=1.0, **CS_PARAMS)
             ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj)
         assert params.uses_exact_memory

@@ -235,7 +235,7 @@ def test_out_of_range_settings_are_config_errors(tmp_path, caplog, command, payl
 
 
 class TestSweepCommands:
-    def sweep_config(self, tmp_path):
+    def sweep_config(self, tmp_path, **sections):
         return write_config(
             tmp_path,
             {
@@ -243,6 +243,7 @@ class TestSweepCommands:
                 "params": {"lambda1": 1.0, "sigma1": 0.5, "alpha": 1.0e4, "dt": 0.1},
                 "experiment": {"n_particles": 10, "horizon_T": 2.0, "trials": 3, "seed": 0},
                 "sweep": {"x_grid": [0.0, 1.0], "y_grid": [5, 10]},
+                **sections,
             },
         )
 
@@ -297,9 +298,30 @@ class TestSweepCommands:
                 "kind": "consensus_near_minimizer", "threshold": 0.25, "norm": "inf",
                 "support_threshold": 0.01, "residual_tol": 1e-4,
             },
+            "schedule": {"alpha_rule": "constant", "sigma_rule": "constant", "epoch_length": 100},
+            "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "low": -1.0, "high": 1.0},
+            "n_consensus": None,
+            "objective": {"kind": "rastrigin", "dimension": 2, "n_batches": 1},
         }
         # key order included
         assert json.dumps(json.loads(out.read_text())["config"]) == json.dumps(expected)
+
+    def test_sweep_json_records_schedule_init_and_consensus_subset(self, tmp_path):
+        path = self.sweep_config(
+            tmp_path,
+            schedule={"alpha_rule": "double_per_epoch", "epoch_length": 5},
+            init={"mean": 1.5},
+            experiment={"n_particles": 10, "horizon_T": 2.0, "trials": 3, "seed": 0,
+                        "n_consensus": 4},
+        )
+        out = tmp_path / "sweep.json"
+        assert main(["sweep-rastrigin", "--config", path, "--out", str(out)]) == EXIT_OK
+        recorded = json.loads(out.read_text())["config"]
+        assert recorded["schedule"] == {
+            "alpha_rule": "double_per_epoch", "sigma_rule": "constant", "epoch_length": 5,
+        }
+        assert recorded["init"]["mean"] == 1.5
+        assert recorded["n_consensus"] == 4
 
     def test_format_flag_only_on_sweeps(self):
         """Only the sweeps can write CSV; the other commands always write

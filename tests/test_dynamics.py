@@ -500,8 +500,8 @@ class BoxedCs(CsObjective):
     """Sparse-recovery energy, +inf outside the box |x|_inf < ``bound``.
     Records for each ``gradients`` call whether a residual was handed over."""
 
-    def __init__(self, inst, bound=np.inf):
-        super().__init__(inst)
+    def __init__(self, A, b, mu, p, bound=np.inf):
+        super().__init__(A, b, mu, p)
         self.bound = bound
         self.handed = []
 
@@ -532,11 +532,9 @@ class TestResidualHandover:
 
     def cs_run(self, cls, trials, n_consensus=None, bound=np.inf):
         rng = RngStream(0, trials)
-        objs = [
-            cls(generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(0, t)), bound)
-            for t in rng.trials
-        ]
-        obj = cls.stack(objs) if rng.batch_shape else objs[0]
+        objs = [generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(0, t))[0] for t in rng.trials]
+        cs = CsObjective.stack(objs) if rng.batch_shape else objs[0]
+        obj = cls(cs.A, cs.b, cs.mu, cs.p, bound)
         ens = init_ensemble(12, 10, InitSpec("uniform", low=-0.5, high=0.5), rng, obj)
         res = run(ens, self.PARAMS, Schedule(), obj, self.STEPS, rng, n_consensus=n_consensus)
         return res, obj
@@ -569,7 +567,8 @@ class TestResidualHandover:
             )
 
     def test_no_handover_without_gradients_or_with_a_mini_batch(self):
-        obj = BoxedCs(generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(1)))
+        cs, _ = generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(1))
+        obj = BoxedCs(cs.A, cs.b, cs.mu, cs.p)
         ens = init_ensemble(12, 10, InitSpec(), RngStream(1), obj)
         step(ens, replace(self.PARAMS, lambda3=0.0), obj, RngStream(1))
         assert ens.residual is None

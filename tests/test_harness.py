@@ -26,7 +26,6 @@ from cbo.harness import (
 )
 import cbo.harness
 from cbo.objectives import (
-    CsInstance,
     CsObjective,
     Sphere,
     generate_cs_instance,
@@ -164,10 +163,14 @@ class TestRunTrials:
         "success, problem, message",
         [
             (SuccessRule(kind="exact_sparse_recovery"), TrialProblem(Sphere(2), np.zeros(2)),
-             "exact_sparse_recovery needs a CsInstance"),
+             "exact_sparse_recovery needs a CsObjective"),
             (SuccessRule(), TrialProblem(Sphere(2)), "success rule needs a known minimizer"),
+            (SuccessRule(kind="exact_sparse_recovery"),
+             TrialProblem(CsObjective(np.eye(2), np.zeros(2), 0.01, 1.0)),
+             "success rule needs a known minimizer"),
         ],
-        ids=["recovery-without-instance", "distance-without-minimizer"],
+        ids=["recovery-without-instance", "distance-without-minimizer",
+             "recovery-without-minimizer"],
     )
     def test_mismatched_success_rule_raises_before_the_run(
         self, monkeypatch, success, problem, message
@@ -207,49 +210,55 @@ class TestRecoverSupport:
     def make_identity_instance(self):
         x_star = np.array([0.0, 1.5, 0.0, -0.7])
         A = np.eye(4)
-        return CsInstance(A=A, b=A @ x_star, mu=0.01, p=1.0, ground_truth=x_star)
+        return TrialProblem(CsObjective(A, A @ x_star, 0.01, 1.0), x_star)
 
     def test_exact_recovery(self):
-        inst = self.make_identity_instance()
-        res = recover_support(inst, np.array([0.001, 1.4, 0.005, -0.6]), SuccessRule(kind="exact_sparse_recovery"))
+        problem = self.make_identity_instance()
+        res = recover_support(problem, np.array([0.001, 1.4, 0.005, -0.6]), SuccessRule(kind="exact_sparse_recovery"))
         assert res.success
         np.testing.assert_array_equal(res.support, [1, 3])
-        np.testing.assert_allclose(res.x_hat, inst.ground_truth, atol=1e-12)
+        np.testing.assert_allclose(res.x_hat, problem.x_star, atol=1e-12)
 
     def test_missing_support_entry_fails(self):
-        inst = self.make_identity_instance()
-        res = recover_support(inst, np.array([0.0, 1.4, 0.0, 0.001]), SuccessRule(kind="exact_sparse_recovery"))
+        problem = self.make_identity_instance()
+        res = recover_support(problem, np.array([0.0, 1.4, 0.0, 0.001]), SuccessRule(kind="exact_sparse_recovery"))
         assert not res.success
 
     def test_empty_support(self):
-        inst = self.make_identity_instance()
-        res = recover_support(inst, np.zeros(4), SuccessRule(kind="exact_sparse_recovery"))
+        problem = self.make_identity_instance()
+        res = recover_support(problem, np.zeros(4), SuccessRule(kind="exact_sparse_recovery"))
         assert not res.success
         assert res.reason == "empty support"
 
     def test_superset_support_still_recovers(self):
         # extra support entries are fine as long as least squares returns x*
-        inst = generate_cs_instance(12, 8, 2, 0.01, 1.0, RngStream(1))
-        noisy = inst.ground_truth.copy()
-        extras = [k for k in range(12) if inst.ground_truth[k] == 0.0][:3]
+        problem = TrialProblem(*generate_cs_instance(12, 8, 2, 0.01, 1.0, RngStream(1)))
+        noisy = problem.x_star.copy()
+        extras = [k for k in range(12) if problem.x_star[k] == 0.0][:3]
         noisy[extras] = 0.02
-        res = recover_support(inst, noisy, SuccessRule(kind="exact_sparse_recovery"))
+        res = recover_support(problem, noisy, SuccessRule(kind="exact_sparse_recovery"))
         assert res.success
 
     def test_underdetermined_support_fails(self):
-        inst = generate_cs_instance(12, 4, 2, 0.01, 1.0, RngStream(2))
-        res = recover_support(inst, np.ones(12), SuccessRule(kind="exact_sparse_recovery"))
+        problem = TrialProblem(*generate_cs_instance(12, 4, 2, 0.01, 1.0, RngStream(2)))
+        res = recover_support(problem, np.ones(12), SuccessRule(kind="exact_sparse_recovery"))
         assert not res.success
         assert res.reason == "singular support system"
 
+    def test_rank_deficient_square_support_fails(self):
+        # two equal columns: as many columns as rows, but rank 2 of 3
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
+        x_star = np.array([1.0, 0.0, 0.5])
+        problem = TrialProblem(CsObjective(A, A @ x_star, 0.01, 1.0), x_star)
+        res = recover_support(problem, np.ones(3), SuccessRule(kind="exact_sparse_recovery"))
+        assert (res.success, res.reason, res.x_hat) == (False, "singular support system", None)
 
-def fixed_instance_config(inst, **overrides):
-    """``sphere_config`` on the one sparse-recovery instance ``inst``, scored
-    by exact support recovery."""
+
+def fixed_instance_config(problem, **overrides):
+    """``sphere_config`` on the one sparse-recovery problem ``problem``,
+    scored by exact support recovery."""
     return sphere_config(
-        objective_factory=lambda rng: TrialProblem(
-            CsObjective(inst), x_star=inst.ground_truth, instance=inst
-        ),
+        objective_factory=lambda rng: problem,
         success=SuccessRule(kind="exact_sparse_recovery"),
         **overrides,
     )
@@ -263,12 +272,12 @@ class TestCsRecover:
     )
 
     def test_gradient_run_recovers_instance(self):
-        inst = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
-        cfg = fixed_instance_config(inst, horizon_T=20.0, trials=1, **self.GRADIENT_RUN)
+        problem = TrialProblem(*generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3)))
+        cfg = fixed_instance_config(problem, horizon_T=20.0, trials=1, **self.GRADIENT_RUN)
         outcome = run_single_trial(cfg, 0)
         assert outcome.success
-        res = recover_support(inst, outcome.consensus, cfg.success)
-        np.testing.assert_allclose(res.x_hat, inst.ground_truth, atol=1e-4)
+        res = recover_support(problem, outcome.consensus, cfg.success)
+        np.testing.assert_allclose(res.x_hat, problem.x_star, atol=1e-4)
 
     def test_consensus_post_processed_once(self, monkeypatch):
         returned = []
@@ -278,8 +287,8 @@ class TestCsRecover:
             return returned[-1]
 
         monkeypatch.setattr(cbo.harness, "recover_support", counting)
-        inst = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
-        cfg = fixed_instance_config(inst, horizon_T=1.0, trials=3, **self.GRADIENT_RUN)
+        problem = TrialProblem(*generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3)))
+        cfg = fixed_instance_config(problem, horizon_T=1.0, trials=3, **self.GRADIENT_RUN)
         summary = run_trials(cfg)
         assert len(returned) == cfg.trials
         for outcome, res in zip(summary.outcomes, returned):
@@ -288,18 +297,17 @@ class TestCsRecover:
     def test_divergence_reports_step(self):
         """A diverged trial is reported with the step at which the single
         trajectory of the same trial raises DivergedError."""
-        inst = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
+        obj, x_star = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
         # dt far above the gradient-flow stability limit: positions overflow
         cfg = fixed_instance_config(
-            inst,
+            TrialProblem(obj, x_star),
             params=CboParams(lambda1=1.0, lambda3=10.0, dt=5.0, kappa=0.2, alpha=1e6),
             horizon_T=5000.0,
             trials=1,
         )
         outcome = run_single_trial(cfg, 0)
-        obj = CsObjective(inst)
         rng = RngStream(cfg.seed, 0)
-        ens = init_ensemble(cfg.n_particles, inst.d, cfg.init, rng, obj)
+        ens = init_ensemble(cfg.n_particles, obj.dimension, cfg.init, rng, obj)
         with pytest.raises(DivergedError) as err:
             run(ens, cfg.params, cfg.schedule, obj, cfg.n_steps, rng)
         assert outcome.diverged
@@ -310,14 +318,14 @@ class TestCsRecover:
     def test_fresh_instances_per_trial(self):
         cfg = sphere_config(trials=3, success=SuccessRule(kind="exact_sparse_recovery"))
         cfg = cs_experiment_config(8, 5, 2, 0.01, 1.0, cfg)
-        instances = [cfg.objective_factory(RngStream(cfg.seed, t)).instance for t in range(3)]
+        instances = [cfg.objective_factory(RngStream(cfg.seed, t)).objective for t in range(3)]
         assert not np.array_equal(instances[0].A, instances[1].A)
         assert not np.array_equal(instances[1].A, instances[2].A)
         # but deterministic for a fixed (seed, trial)
-        again = cfg.objective_factory(RngStream(cfg.seed, 0)).instance
+        again = cfg.objective_factory(RngStream(cfg.seed, 0)).objective
         np.testing.assert_array_equal(instances[0].A, again.A)
         # and the next seed's trial 0 gets another instance
-        other = cfg.objective_factory(RngStream(cfg.seed + 1, 0)).instance
+        other = cfg.objective_factory(RngStream(cfg.seed + 1, 0)).objective
         assert not np.array_equal(instances[0].A, other.A)
 
 
@@ -432,6 +440,15 @@ class TestDecayExperiment:
             decay_experiment(
                 Sphere(2), np.zeros(2), bad, SPHERE_CONSTANTS,
                 n_particles=10, horizon=1.0, vartheta=0.25,
+            )
+
+    @pytest.mark.parametrize("horizon", [0.0015, 0.0004, 0.0105])
+    def test_horizon_off_the_step_grid_rejected(self, horizon):
+        # at dt = 0.001 these would run 2, 0 and 10 steps if rounded
+        with pytest.raises(ValueError, match="positive integer multiple of dt"):
+            decay_experiment(
+                Sphere(2), np.zeros(2), self.PARAMS, SPHERE_CONSTANTS,
+                n_particles=10, horizon=horizon, vartheta=0.25,
             )
 
     def test_report_serializes(self):

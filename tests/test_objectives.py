@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from cbo.objectives import (
     CS_SMOOTHING_EPS,
-    CsInstance,
     CsObjective,
     Rastrigin,
     Sphere,
@@ -63,7 +62,7 @@ class TestCsEval:
     def make_instance(self, p=1.0, mu=0.5):
         A = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
         b = np.array([1.0, 1.0])
-        return CsInstance(A=A, b=b, mu=mu, p=p)
+        return CsObjective(A, b, mu, p)
 
     def test_hand_computed_value_p1(self):
         inst = self.make_instance()
@@ -80,7 +79,7 @@ class TestCsEval:
     def test_naive_double_loop_oracle(self):
         gen = np.random.Generator(np.random.PCG64(7))
         for p in (1.0, 0.5):
-            inst = generate_cs_instance(8, 5, 2, 0.3, p, RngStream(11))
+            inst, _ = generate_cs_instance(8, 5, 2, 0.3, p, RngStream(11))
             for _ in range(20):
                 x = gen.standard_normal(8)
                 res = [
@@ -93,28 +92,40 @@ class TestCsEval:
                 assert cs_eval(inst, x) == pytest.approx(naive, rel=1e-12)
 
     def test_objective_view_matches_scalar_eval(self):
-        inst = generate_cs_instance(6, 4, 2, 0.2, 0.5, RngStream(3))
-        obj = CsObjective(inst)
+        obj, _ = generate_cs_instance(6, 4, 2, 0.2, 0.5, RngStream(3))
         pts = np.random.Generator(np.random.PCG64(2)).standard_normal((10, 6))
         np.testing.assert_allclose(
-            obj.values(pts), [cs_eval(inst, x) for x in pts], rtol=1e-12
+            obj.values(pts), [cs_eval(obj, x) for x in pts], rtol=1e-12
         )
 
     def test_invalid_exponent(self):
-        with pytest.raises(ValueError, match="p"):
-            CsInstance(A=np.eye(2), b=np.zeros(2), mu=0.1, p=0.7)
+        with pytest.raises(ValueError, match="p=0.7"):
+            CsObjective(np.eye(2), np.zeros(2), 0.1, 0.7)
+
+    def test_negative_mu(self):
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            CsObjective(np.eye(2), np.zeros(2), -0.1, 1.0)
+
+    def test_converts_and_stacks_through_the_constructor(self):
+        obj = CsObjective([[1, 0, 2], [0, 1, -1]], [1, 1], 0.5, 1.0)
+        assert obj.A.dtype == obj.b.dtype == np.float64
+        assert obj.dimension == 3
+        stacked = CsObjective.stack([obj, CsObjective(2 * obj.A, obj.b, 0.5, 1.0)])
+        assert type(stacked) is CsObjective
+        assert stacked.A.shape == (2, 2, 3) and stacked.b.shape == (2, 2)
+        assert (stacked.dimension, stacked.mu, stacked.p) == (3, 0.5, 1.0)
+        with pytest.raises(ValueError, match="equal mu and p"):
+            CsObjective.stack([obj, CsObjective(obj.A, obj.b, 0.5, 0.5)])
 
 
 class TestCsGrad:
     def test_p1_sign_zero_convention(self):
-        inst = CsInstance(A=np.eye(2), b=np.zeros(2), mu=1.0, p=1.0)
-        g = CsObjective(inst).grad(np.array([0.0, 2.0]))
+        g = CsObjective(np.eye(2), np.zeros(2), 1.0, 1.0).grad(np.array([0.0, 2.0]))
         np.testing.assert_allclose(g, [0.0, 3.0])
 
     def test_p1_matches_finite_differences_away_from_zeros(self):
         gen = np.random.Generator(np.random.PCG64(8))
-        inst = generate_cs_instance(10, 6, 2, 0.4, 1.0, RngStream(21))
-        obj = CsObjective(inst)
+        obj, _ = generate_cs_instance(10, 6, 2, 0.4, 1.0, RngStream(21))
         for _ in range(100):
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1  # keep away from the kink
@@ -124,8 +135,7 @@ class TestCsGrad:
 
     def test_p_half_matches_finite_differences(self):
         gen = np.random.Generator(np.random.PCG64(9))
-        inst = generate_cs_instance(10, 6, 2, 0.4, 0.5, RngStream(22))
-        obj = CsObjective(inst)
+        obj, _ = generate_cs_instance(10, 6, 2, 0.4, 0.5, RngStream(22))
         for _ in range(100):
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1
@@ -137,8 +147,7 @@ class TestCsGrad:
             )
 
     def test_p_half_zero_stays_finite(self):
-        inst = CsInstance(A=np.eye(2), b=np.zeros(2), mu=1.0, p=0.5)
-        g = CsObjective(inst).grad(np.zeros(2))
+        g = CsObjective(np.eye(2), np.zeros(2), 1.0, 0.5).grad(np.zeros(2))
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(g, 0.0)
 
@@ -146,22 +155,21 @@ class TestCsGrad:
         pts = np.random.Generator(np.random.PCG64(3)).standard_normal((10, 6))
         pts[0, :2] = 0.0  # the sign(0) and smoothing conventions
         for p in (0.5, 1.0):
-            inst = generate_cs_instance(6, 4, 2, 0.2, p, RngStream(4))
-            obj = CsObjective(inst)
+            obj, _ = generate_cs_instance(6, 4, 2, 0.2, p, RngStream(4))
             np.testing.assert_allclose(
-                obj.gradients(pts), [cs_grad(inst, x) for x in pts], rtol=1e-12
+                obj.gradients(pts), [cs_grad(obj, x) for x in pts], rtol=1e-12
             )
 
     @pytest.mark.parametrize("p", [0.5, 1.0])
     @pytest.mark.parametrize("trials", [None, 3])
     def test_in_place_forms_equal_out_of_place_expressions_bit_for_bit(self, p, trials):
         gen = np.random.Generator(np.random.PCG64(5))
-        insts = [generate_cs_instance(12, 6, 2, 0.3, p, RngStream(s)) for s in range(3)]
+        objs = [generate_cs_instance(12, 6, 2, 0.3, p, RngStream(s))[0] for s in range(3)]
         if trials is None:
-            obj = CsObjective(insts[0])
+            obj = objs[0]
             pts = gen.standard_normal((20, 12))
         else:
-            obj = CsObjective.stack([CsObjective(i) for i in insts])
+            obj = CsObjective.stack(objs)
             pts = gen.standard_normal((trials, 20, 12))
         pts[gen.random(pts.shape) < 0.25] = 0.0
         pts[..., 0, :3] = -0.0
@@ -192,23 +200,25 @@ class TestCsGrad:
 
 class TestGenerateCsInstance:
     def test_postconditions(self):
-        inst = generate_cs_instance(30, 12, 4, 0.05, 1.0, RngStream(5))
-        assert inst.A.shape == (12, 30)
-        assert inst.b.shape == (12,)
-        support = np.nonzero(inst.ground_truth)[0]
+        obj, x_star = generate_cs_instance(30, 12, 4, 0.05, 1.0, RngStream(5))
+        assert obj.A.shape == (12, 30)
+        assert obj.b.shape == (12,)
+        assert (obj.dimension, obj.mu, obj.p) == (30, 0.05, 1.0)
+        support = np.nonzero(x_star)[0]
         assert len(support) == 4
-        assert np.all(np.abs(inst.ground_truth[support]) >= 0.1)
-        np.testing.assert_allclose(inst.A @ inst.ground_truth, inst.b, atol=1e-14)
+        assert np.all(np.abs(x_star[support]) >= 0.1)
+        np.testing.assert_allclose(obj.A @ x_star, obj.b, atol=1e-14)
 
     def test_variance_scaling(self):
-        inst = generate_cs_instance(400, 200, 3, 0.1, 1.0, RngStream(6))
-        assert inst.A.var() == pytest.approx(1.0 / 200, rel=0.1)
+        obj, _ = generate_cs_instance(400, 200, 3, 0.1, 1.0, RngStream(6))
+        assert obj.A.var() == pytest.approx(1.0 / 200, rel=0.1)
 
     def test_reproducible(self):
-        a = generate_cs_instance(10, 5, 2, 0.1, 1.0, RngStream(7))
-        b = generate_cs_instance(10, 5, 2, 0.1, 1.0, RngStream(7))
+        (a, a_star), (b, b_star) = (
+            generate_cs_instance(10, 5, 2, 0.1, 1.0, RngStream(7)) for _ in range(2)
+        )
         np.testing.assert_array_equal(a.A, b.A)
-        np.testing.assert_array_equal(a.ground_truth, b.ground_truth)
+        np.testing.assert_array_equal(a_star, b_star)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="sparsity"):
