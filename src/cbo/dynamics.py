@@ -6,10 +6,9 @@ from __future__ import annotations
 import ctypes
 import math
 import sys
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -178,12 +177,21 @@ class Schedule:
             raise ValueError("epoch_length must be positive")
 
     def params_at(self, base: CboParams, step_index: int) -> CboParams:
+        """The parameters of step ``step_index``.  Raises ValueError when
+        alpha doubling leaves the floats there: an infinite alpha would turn
+        the consensus NaN and read as divergence."""
         epoch = step_index // self.epoch_length
         if epoch == 0 or (self.alpha_rule == "constant" and self.sigma_rule == "constant"):
             return base
         out = base
         if self.alpha_rule == "double_per_epoch":
-            out = replace(out, alpha=base.alpha * 2.0**epoch)
+            try:
+                alpha = math.ldexp(base.alpha, epoch)  # exactly alpha * 2**epoch
+            except OverflowError:
+                raise ValueError(
+                    f"alpha doubling overflows at step {step_index} (epoch {epoch})"
+                ) from None
+            out = replace(out, alpha=alpha)
         if self.sigma_rule == "log2_cooling":
             scale = 1.0 / math.log2(epoch + 2)
             out = replace(
@@ -200,7 +208,6 @@ class RunResult:
     ensemble: Ensemble
     consensus: np.ndarray
     n_steps: int
-    diagnostics: dict = field(default_factory=dict)
 
 
 class LyapunovValue(NamedTuple):
@@ -221,8 +228,10 @@ def _mean_sq(diff: np.ndarray) -> np.ndarray:
 
 def lyapunov_V(ens: Ensemble, x_star: np.ndarray) -> LyapunovValue:
     x_star = np.asarray(x_star, dtype=float)
-    xp = 0.5 * _mean_sq(ens.positions - x_star)
-    yp = 0.5 * _mean_sq(ens.memories - ens.positions)
+    # one difference buffer serves both parts
+    diff = ens.positions - x_star
+    xp = 0.5 * _mean_sq(diff)
+    yp = 0.5 * _mean_sq(np.subtract(ens.memories, ens.positions, out=diff))
     return LyapunovValue(xp + yp, xp, yp)
 
 
@@ -487,7 +496,7 @@ def run(
     objective: Objective,
     max_steps: int,
     rng: RngStream,
-    x_star: np.ndarray | None = None,
+    observe: Callable[[Ensemble], None] | None = None,
     n_consensus: int | None = None,
 ) -> RunResult:
     """Iterate ``step`` ``max_steps`` times, applying the schedule at epoch
@@ -500,25 +509,14 @@ def run(
     energies cached by that step, which under mini-batching are the energies
     on that step's batch; it is NaN for a diverged trial.
 
-    Given the minimizer ``x_star``, the run records three tracks in
-    ``diagnostics``, at the initial state and after every step: ``time``,
-    ``lyapunov`` (the total of ``lyapunov_V``) and ``w2_to_dirac``, one value
-    per trial.  Without it nothing is recorded and ``diagnostics`` is
-    empty."""
+    ``observe``, if given, is called with the ensemble at the initial state
+    and after every step, and computes and keeps whatever it reads, such as
+    ``lyapunov_V``; it must not change the ensemble."""
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     ens = initial
-    diagnostics = defaultdict(list)
-
-    def snapshot(e: Ensemble):
-        v = lyapunov_V(e, x_star)
-        diagnostics["time"].append(e.step_index * params.dt)
-        diagnostics["lyapunov"].append(v.total)
-        diagnostics["w2_to_dirac"].append(wasserstein2_to_dirac(e, x_star, v))
-
-    record = x_star is not None
-    if record:
-        snapshot(ens)
+    if observe is not None:
+        observe(ens)
 
     step_params = schedule.params_at(params, ens.step_index)
     start = ens.step_index
@@ -531,12 +529,11 @@ def run(
         if batched:
             batch = rng.draw(CHANNEL_BATCH, lambda gen: gen.integers(objective.n_batches))
         step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
-        if record:
-            snapshot(ens)
+        if observe is not None:
+            observe(ens)
 
     consensus = np.full(ens.batch_shape + (ens.d,), np.nan)
     if ens.active.any():
         last = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)
         consensus = np.where(ens.active[..., None], last, consensus)
-    diagnostics = {key: np.asarray(val) for key, val in diagnostics.items()}
-    return RunResult(ens, consensus, ens.step_index - start, diagnostics)
+    return RunResult(ens, consensus, ens.step_index - start)

@@ -16,16 +16,20 @@ import numpy as np
 from .dynamics import (
     CboParams,
     DivergedError,
+    Ensemble,
     InitSpec,
     Schedule,
     init_ensemble,
+    lyapunov_V,
     run,
 )
 from .objectives import (
     CsObjective, Objective, check_cs_regularizer, check_cs_sizes, generate_cs_instance,
 )
 from .rng import RngStream
-from .theory import AssumptionConstants, DecayFit, chi_rates, fit_exponential_rate
+from .theory import (
+    AssumptionConstants, DecayFit, chi_rates, fit_exponential_rate, time_horizon_star,
+)
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,8 @@ class ExperimentConfig:
     n_consensus: int | None = None
 
     def __post_init__(self):
-        horizon_steps(self.horizon_T, self.params.dt)
+        # the last step has the largest alpha a doubling schedule reaches
+        self.schedule.params_at(self.params, horizon_steps(self.horizon_T, self.params.dt) - 1)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.n_particles < 1:
@@ -371,6 +376,14 @@ def cs_phase_diagram(
 
 @dataclass
 class DecayReport:
+    """The fitted decay rate against its bracket [(1 - vartheta) chi1,
+    (1 + vartheta/2) chi2], and the time V first reached eps against the
+    bracket [t_lower, t_star] of ``time_horizon_star`` at the run's V0.
+
+    ``t_eps`` is None when V stays above eps over the horizon; ``t_star``
+    and ``t_lower`` are None when V0 is not above eps, and
+    ``eps_time_in_bracket`` is None when either side is missing."""
+
     fit: DecayFit
     chi1: float
     chi2: float
@@ -378,6 +391,10 @@ class DecayReport:
     rate_above_lower: bool
     times: np.ndarray
     values: np.ndarray
+    t_eps: float | None = None
+    t_star: float | None = None
+    t_lower: float | None = None
+    eps_time_in_bracket: bool | None = None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -387,6 +404,10 @@ class DecayReport:
                 "chi2": self.chi2,
                 "bracket": list(self.bracket),
                 "rate_above_lower": self.rate_above_lower,
+                "t_eps": self.t_eps,
+                "t_star": self.t_star,
+                "t_lower": self.t_lower,
+                "eps_time_in_bracket": self.eps_time_in_bracket,
             }
         )
 
@@ -406,30 +427,49 @@ def decay_experiment(
     """Fit the exponential decay rate of the empirical Lyapunov functional V
     along one run, on the window where it exceeds eps.
 
-    The run is given ``x_star``, so it records V (and W2, which this fit
-    does not read) at the initial state and after every step; the report
-    keeps the ``time`` and ``lyapunov`` tracks up to the first value at or
-    below eps."""
+    The run's observer evaluates V at the initial state and after every
+    step until V first reaches eps (or is NaN): decay is only guaranteed
+    until then, so later values are never computed.  The report keeps the
+    times and values above eps, and the time of the crossing as ``t_eps``."""
     rates = chi_rates(params, constants)
     if rates.chi1 <= 0:
         raise ValueError("no guarantee regime: chi1 must be positive")
+    if not (0 <= vartheta < 1 and eps > 0):
+        raise ValueError("decay needs vartheta in [0, 1) and a positive eps")
     steps = horizon_steps(horizon, params.dt)
     rng = RngStream(seed)
     ens = init_ensemble(n_particles, objective.dimension, init, rng, objective)
-    result = run(ens, params, Schedule(), objective, steps, rng, x_star=x_star)
-    times = result.diagnostics["time"]
-    values = result.diagnostics["lyapunov"]
-    window = values > eps
-    # decay is only guaranteed until V reaches eps; cut at the first crossing
-    if np.any(~window):
-        cut = int(np.argmax(~window))
-        times, values = times[:cut], values[:cut]
-    if values.size < 3 or np.any(values <= 0):
+    times, values = [], []
+    ended = False
+    t_eps = None
+
+    def observe(e: Ensemble) -> None:
+        nonlocal ended, t_eps
+        if ended:
+            return
+        v = lyapunov_V(e, x_star).total
+        t = e.step_index * params.dt
+        if v > eps:
+            times.append(t)
+            values.append(v)
+        else:  # at or below eps, or NaN
+            ended = True
+            t_eps = t if v <= eps else None
+
+    run(ens, params, Schedule(), objective, steps, rng, observe=observe)
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    # every value kept is above eps > 0, so the log-linear fit applies
+    if values.size < 3:
         fit = DecayFit(rate=0.0, intercept=0.0, r_squared=0.0)
     else:
         fit = fit_exponential_rate(times, values)
     lower = (1.0 - vartheta) * rates.chi1
     upper = (1.0 + vartheta / 2.0) * rates.chi2
+    t_star = t_lower = in_bracket = None
+    if values.size:
+        t_star, t_lower = time_horizon_star(values[0], eps, vartheta, rates.chi1, rates.chi2)
+        if t_eps is not None:
+            in_bracket = t_lower <= t_eps <= t_star
     return DecayReport(
         fit=fit,
         chi1=rates.chi1,
@@ -438,6 +478,10 @@ def decay_experiment(
         rate_above_lower=fit.rate >= lower,
         times=times,
         values=values,
+        t_eps=t_eps,
+        t_star=t_star,
+        t_lower=t_lower,
+        eps_time_in_bracket=in_bracket,
     )
 
 

@@ -3,6 +3,8 @@ sparse recovery, and gradient-verification helpers."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .rng import CHANNEL_INSTANCE, RngStream
@@ -121,13 +123,15 @@ class CsObjective(Objective):
 
     @classmethod
     def stack(cls, objectives: list["CsObjective"]) -> "CsObjective":
+        """A copy of the first objective holding every trial's ``A`` and
+        ``b``; any further state of a subclass is the first one's."""
         first = objectives[0]
         if any((o.mu, o.p) != (first.mu, first.p) for o in objectives):
             raise ValueError("trials of one batch need equal mu and p")
-        return cls(
-            np.stack([o.A for o in objectives]), np.stack([o.b for o in objectives]),
-            first.mu, first.p,
-        )
+        out = copy.copy(first)
+        out.A = np.stack([o.A for o in objectives])
+        out.b = np.stack([o.b for o in objectives])
+        return out
 
     def _residual(self, points):
         r = points @ self.A.mT

@@ -2,7 +2,7 @@
 Laplace bound, the mollifier and the probability-mass decay rate.  All
 quantities are evaluated on empirical ensembles standing in for the
 mean-field law.  The Lyapunov functional and the W2 distance to the Dirac
-are defined in :mod:`cbo.dynamics`, which records them along a run."""
+are defined in :mod:`cbo.dynamics`; a run's observer evaluates them."""
 
 from __future__ import annotations
 

@@ -117,6 +117,21 @@ def cs_nonconvex_summaries():
     }
 
 
+def recorded_run(ens, params, obj, steps, rng, x_star):
+    """``run`` with an observer that records time, V and W2 to the Dirac at
+    x_star at the initial state and after every step."""
+    tracks = {"time": [], "lyapunov": [], "w2_to_dirac": []}
+
+    def observe(e):
+        v = lyapunov_V(e, x_star)
+        tracks["time"].append(e.step_index * params.dt)
+        tracks["lyapunov"].append(v.total)
+        tracks["w2_to_dirac"].append(wasserstein2_to_dirac(e, x_star, v))
+
+    result = run(ens, params, Schedule(), obj, steps, rng, observe=observe)
+    return result, x_star, {key: np.asarray(val) for key, val in tracks.items()}
+
+
 @pytest.fixture(scope="session")
 def recorded_runs():
     """One instrumented run per experimental regime, with per-step
@@ -127,36 +142,18 @@ def recorded_runs():
     obj = Rastrigin(4)
     params = CboParams(lambda2=2.0, **RASTRIGIN_PARAMS)
     ens = init_ensemble(100, 4, InitSpec("gaussian", mean=1.5, std=1.0), rng, obj)
-    runs["rastrigin"] = (
-        run(
-            ens, params, Schedule(), obj, 2000, rng,
-            x_star=np.zeros(4),
-        ),
-        np.zeros(4),
-    )
+    runs["rastrigin"] = recorded_run(ens, params, obj, 2000, rng, np.zeros(4))
 
     rng = RngStream(0)
     obj, x_star = generate_cs_instance(50, 25, 2, 0.03, 1.0, rng)
     params = CboParams(lambda3=1.0, **CS_PARAMS)
     ens = init_ensemble(10, 50, InitSpec("gaussian", mean=0.0, std=1.0), rng, obj)
-    runs["sparse_recovery"] = (
-        run(
-            ens, params, Schedule(), obj, 2000, rng,
-            x_star=x_star,
-        ),
-        x_star,
-    )
+    runs["sparse_recovery"] = recorded_run(ens, params, obj, 2000, rng, x_star)
 
     rng = RngStream(0)
     obj = Sphere(2)
     ens = init_ensemble(1000, 2, InitSpec(), rng, obj)
-    runs["decay"] = (
-        run(
-            ens, DECAY_PARAMS, Schedule(), obj, 4000, rng,
-            x_star=np.zeros(2),
-        ),
-        np.zeros(2),
-    )
+    runs["decay"] = recorded_run(ens, DECAY_PARAMS, obj, 4000, rng, np.zeros(2))
     return runs
 
 
@@ -217,9 +214,9 @@ def test_wasserstein_dominated_by_lyapunov_pointwise(recorded_runs):
     step of any instrumented run (tolerance 1e-12)."""
     worst = -np.inf
     steps = 0
-    for result, _ in recorded_runs.values():
-        w2 = result.diagnostics["w2_to_dirac"]
-        v = result.diagnostics["lyapunov"]
+    for _, _, tracks in recorded_runs.values():
+        w2 = tracks["w2_to_dirac"]
+        v = tracks["lyapunov"]
         worst = max(worst, float(np.max(w2 - 6.0 * v)))
         steps += len(w2)
     passed = worst <= 1e-12
@@ -415,9 +412,9 @@ def test_nonconvex_recovery_benefits_from_more_particles(cs_nonconvex_summaries)
 def test_recorded_diagnostics_are_consistent(recorded_runs):
     """The per-step diagnostics agree with the standalone functional
     evaluations at the final state."""
-    for result, x_star in recorded_runs.values():
-        assert len(result.diagnostics["time"]) == result.n_steps + 1
+    for result, x_star, tracks in recorded_runs.values():
+        assert len(tracks["time"]) == result.n_steps + 1
         final_v = lyapunov_V(result.ensemble, x_star).total
         final_w2 = wasserstein2_to_dirac(result.ensemble, x_star)
-        assert result.diagnostics["lyapunov"][-1] == pytest.approx(final_v, rel=1e-12)
-        assert result.diagnostics["w2_to_dirac"][-1] == pytest.approx(final_w2, rel=1e-12)
+        assert tracks["lyapunov"][-1] == pytest.approx(final_v, rel=1e-12)
+        assert tracks["w2_to_dirac"][-1] == pytest.approx(final_w2, rel=1e-12)

@@ -198,6 +198,7 @@ SMALL_CS = {
     "cs": {"d": 10, "m": 6, "s": 2},
 }
 DECAY = yaml.safe_load((CONFIG_DIR / "decay.yaml").read_text())
+TOY = yaml.safe_load((CONFIG_DIR / "toy_minibatch.yaml").read_text())
 
 
 @pytest.mark.parametrize(
@@ -218,10 +219,17 @@ DECAY = yaml.safe_load((CONFIG_DIR / "decay.yaml").read_text())
         ("check-bounds", {**DECAY, "theory": {**DECAY["theory"], "vartheta": 1.5}}),
         ("check-bounds", {"theory": {"cases": 0}}),
         ("decay", {**DECAY, "theory": {**DECAY["theory"], "eps": 0.0}}),
+        # alpha = 100 doubled every step is inf from step 1018 on
+        ("run", {**TOY, "schedule": {**TOY["schedule"], "epoch_length": 1}}),
+        ("sweep-rastrigin", {"objective": {"kind": "rastrigin", "dimension": 2},
+                             "schedule": {"alpha_rule": "double_per_epoch", "epoch_length": 1},
+                             "experiment": {"horizon_T": 20.0, "trials": 2},
+                             "sweep": {"x_grid": [0.0], "y_grid": [5]}}),
     ],
     ids=["cs.m=0", "cs.s=0", "cs.m>cs.d", "rastrigin-y_grid=0", "cs-y_grid=0",
          "gradcheck.points=0", "gradcheck.h=0", "cs.p=0.7", "cs.mu=-1",
-         "sigma2_coupling=other", "theory.vartheta=1.5", "theory.cases=0", "theory.eps=0"],
+         "sigma2_coupling=other", "theory.vartheta=1.5", "theory.cases=0", "theory.eps=0",
+         "run-alpha-doubling-overflows", "sweep-alpha-doubling-overflows"],
 )
 def test_out_of_range_settings_are_config_errors(tmp_path, caplog, command, payload):
     """Out-of-range sizes, regularizer, sweep grid values and coupling, theory
@@ -402,6 +410,18 @@ class TestTheoryCommands:
         assert main(["decay", "--config", path, "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["bracket"][0] <= payload["rate"] <= payload["bracket"][1]
+
+    def test_decay_reports_eps_time_in_its_bracket(self, tmp_path):
+        """On the bundled decay config, V first reaches eps at t_eps inside
+        [t_lower, t_star] from time_horizon_star at the run's V0."""
+        out = tmp_path / "decay.json"
+        assert main(["decay", "--config", str(CONFIG_DIR / "decay.yaml"), "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["t_eps"] == pytest.approx(2.377)
+        assert payload["t_lower"] == pytest.approx(0.654, abs=1e-3)
+        assert payload["t_star"] == pytest.approx(13.34, abs=1e-2)
+        assert payload["t_lower"] <= payload["t_eps"] <= payload["t_star"]
+        assert payload["eps_time_in_bracket"] is True
 
     def test_gradcheck_pass_and_fail_exit_codes(self, tmp_path):
         assert main(["gradcheck", "--config", str(CONFIG_DIR / "gradcheck.yaml")]) == EXIT_OK

@@ -418,10 +418,11 @@ class TestRun:
         np.testing.assert_array_equal(a.ensemble.positions, b.ensemble.positions)
         np.testing.assert_array_equal(a.consensus, b.consensus)
 
-    def test_recorded_run_holds_three_tracks(self, monkeypatch):
-        """Given x_star, a run records time, V and W2 at the start and after
-        each step, and computes one consensus point per step plus the one it
-        reports; without x_star it records nothing, on the same trajectory."""
+    def test_observer_sees_every_state_without_perturbing_the_run(self, monkeypatch):
+        """An observer is called at the start and after each step, with the
+        ensemble at that step; a run computes one consensus point per step
+        plus the one it reports, and ends on the same bytes without an
+        observer."""
         obj = Sphere(2)
         params = CboParams(
             lambda1=4.0, lambda2=1.0, sigma1=0.5, sigma2=0.2, theta=1.0, kappa=2.0,
@@ -441,15 +442,14 @@ class TestRun:
             ens = init_ensemble(30, 2, InitSpec(), rng, obj)
             return run(ens, params, Schedule(), obj, steps, rng, **kwargs)
 
-        recorded = once(x_star=np.zeros(2))
-        assert set(recorded.diagnostics) == {"time", "lyapunov", "w2_to_dirac"}
-        assert all(track.shape == (steps + 1,) for track in recorded.diagnostics.values())
+        seen = []
+        observed = once(observe=lambda e: seen.append((e.step_index, e.positions.tobytes())))
+        assert [k for k, _ in seen] == list(range(steps + 1))
+        assert seen[-1][1] == observed.ensemble.positions.tobytes()
         assert len(calls) == steps + 1
         plain = once()
-        assert plain.diagnostics == {}
-        assert plain.ensemble.positions.tobytes() == recorded.ensemble.positions.tobytes()
-        assert plain.consensus.tobytes() == recorded.consensus.tobytes()
-
+        assert plain.ensemble.positions.tobytes() == observed.ensemble.positions.tobytes()
+        assert plain.consensus.tobytes() == observed.consensus.tobytes()
 
     def test_reported_consensus_uses_last_step_params(self):
         obj = Sphere(2)
@@ -532,9 +532,13 @@ class TestResidualHandover:
 
     def cs_run(self, cls, trials, n_consensus=None, bound=np.inf):
         rng = RngStream(0, trials)
-        objs = [generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(0, t))[0] for t in rng.trials]
-        cs = CsObjective.stack(objs) if rng.batch_shape else objs[0]
-        obj = cls(cs.A, cs.b, cs.mu, cs.p, bound)
+        objs = []
+        for t in rng.trials:
+            cs, _ = generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(0, t))
+            objs.append(cls(cs.A, cs.b, cs.mu, cs.p, bound))
+        # stacking keeps the subclass and its bound
+        obj = cls.stack(objs) if rng.batch_shape else objs[0]
+        assert type(obj) is cls and obj.bound == bound
         ens = init_ensemble(12, 10, InitSpec("uniform", low=-0.5, high=0.5), rng, obj)
         res = run(ens, self.PARAMS, Schedule(), obj, self.STEPS, rng, n_consensus=n_consensus)
         return res, obj
@@ -631,6 +635,18 @@ class TestSchedule:
         sched = Schedule(alpha_rule="double_per_epoch", epoch_length=100)
         assert sched.params_at(base, 0).alpha == 50.0
         assert sched.params_at(base, 250).alpha == 200.0
+
+    def test_alpha_doubling_past_the_floats_is_a_value_error(self):
+        base = CboParams(alpha=100.0, dt=0.1, kappa=10.0)
+        sched = Schedule(alpha_rule="double_per_epoch", epoch_length=1)
+        assert sched.params_at(base, 1017).alpha == 100.0 * 2.0**1017
+        # 100 * 2**1018 is inf, and 2.0**1024 itself overflows
+        for k in (1018, 1024, 5000):
+            with pytest.raises(ValueError, match=f"overflows at step {k}"):
+                sched.params_at(base, k)
+        # a small alpha doubles past 2**1024 and stays finite
+        tiny = replace(base, alpha=1e-300)
+        assert sched.params_at(tiny, 1049).alpha == 1e-300 * 2.0**1000 * 2.0**49
 
     def test_invalid_rules(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbo.dynamics import CboParams, DivergedError, InitSpec, Schedule, init_ensemble, run
+from cbo.dynamics import (
+    CboParams, DivergedError, InitSpec, Schedule, init_ensemble, lyapunov_V, run, step,
+)
 from cbo.harness import (
     ExperimentConfig,
     PhaseDiagram,
@@ -458,6 +460,56 @@ class TestDecayExperiment:
         )
         payload = json.loads(report.to_json())
         assert set(payload) >= {"rate", "chi1", "chi2", "bracket", "r_squared"}
+        assert set(payload) >= {"t_eps", "t_star", "t_lower", "eps_time_in_bracket"}
+
+    def full_v_track(self, n, steps, seed):
+        """Time and V at the start and after every step of a plain ``step``
+        loop on the streams ``decay_experiment`` draws from."""
+        obj, x_star = Sphere(2), np.zeros(2)
+        rng = RngStream(seed)
+        ens = init_ensemble(n, 2, InitSpec(), rng, obj)
+        times, values = [0.0], [lyapunov_V(ens, x_star).total]
+        for _ in range(steps):
+            step(ens, self.PARAMS, obj, rng)
+            times.append(ens.step_index * self.PARAMS.dt)
+            values.append(lyapunov_V(ens, x_star).total)
+        return np.asarray(times), np.asarray(values)
+
+    @pytest.mark.parametrize("eps, crosses", [(0.05, True), (1e-6, False)])
+    def test_window_is_the_full_track_cut_at_eps(self, eps, crosses):
+        """The observed window equals, bit for bit, the full V track cut at
+        its first value at or below eps, or all of it when there is none."""
+        times, values = self.full_v_track(50, 1000, seed=3)
+        cut = int(np.argmax(values <= eps)) if np.any(values <= eps) else values.size
+        assert (cut < values.size) == crosses
+        report = decay_experiment(
+            Sphere(2), np.zeros(2), self.PARAMS, SPHERE_CONSTANTS,
+            n_particles=50, horizon=1.0, vartheta=0.25, seed=3, eps=eps,
+        )
+        assert report.times.tobytes() == times[:cut].tobytes()
+        assert report.values.tobytes() == values[:cut].tobytes()
+        assert report.t_eps == (times[cut] if crosses else None)
+        assert report.eps_time_in_bracket is (
+            (report.t_lower <= report.t_eps <= report.t_star) if crosses else None
+        )
+
+    @pytest.mark.parametrize("setting", [dict(eps=0.0), dict(vartheta=1.0)])
+    def test_out_of_range_theory_settings_rejected(self, setting):
+        with pytest.raises(ValueError, match="vartheta in"):
+            decay_experiment(
+                Sphere(2), np.zeros(2), self.PARAMS, SPHERE_CONSTANTS,
+                **{"n_particles": 10, "horizon": 1.0, "vartheta": 0.25, **setting},
+            )
+
+
+def test_alpha_doubling_past_the_floats_rejected_before_running():
+    """A doubling schedule whose alpha is not finite at the last step is a
+    configuration error, not a cell of diverged trials."""
+    sched = Schedule(alpha_rule="double_per_epoch", epoch_length=1)
+    with pytest.raises(ValueError, match="alpha doubling overflows at step 1999"):
+        sphere_config(schedule=sched, horizon_T=20.0, params=CboParams(dt=0.01))
+    # the last of 1018 steps still has a finite alpha
+    sphere_config(schedule=sched, horizon_T=10.18, params=CboParams(dt=0.01))
 
 
 class TestTrialSummarySerialization:
