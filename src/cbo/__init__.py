@@ -2,7 +2,6 @@
 
 from .dynamics import (
     CboParams,
-    DiffusionType,
     DivergedError,
     Ensemble,
     InitSpec,
@@ -16,6 +15,7 @@ from .dynamics import (
     step,
 )
 from .harness import (
+    CsSpec,
     ExperimentConfig,
     PhaseDiagram,
     SuccessRule,

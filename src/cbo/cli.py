@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 
@@ -67,8 +68,11 @@ def _cmd_run(cfg: ResolvedConfig, args) -> tuple[str, int]:
 
 
 def _grid(values: list, convert, build) -> list:
-    """The sweep grid ``values`` through ``convert``; a value that ``build``,
-    the constructor of a cell's part, rejects is a configuration error."""
+    """The sweep grid ``values`` through ``convert``; an empty grid, or a
+    value that ``build``, the constructor of a cell's part, rejects, is a
+    configuration error."""
+    if not values:
+        raise ConfigError("sweep grids must be nonempty")
     try:
         grid = [convert(v) for v in values]
         for v in grid:
@@ -84,10 +88,13 @@ def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
     coupling = sweep["sigma2_coupling"]
     if coupling not in harness.SIGMA2_COUPLINGS:
         raise ConfigError(f"sweep.sigma2_coupling: unknown coupling {coupling!r}")
+    # an absent grid, not an empty one, means the default
+    x_grid, y_grid = sweep["x_grid"], sweep["y_grid"]
     diagram = harness.rastrigin_phase_diagram(
-        _grid(sweep["x_grid"] or [0.0, 1.0, 2.0, 4.0], float,
+        _grid([0.0, 1.0, 2.0, 4.0] if x_grid is None else x_grid, float,
               lambda l2: replace(base.params, lambda2=l2)),
-        _grid(sweep["y_grid"] or [10, 100], int, lambda n: replace(base, n_particles=n)),
+        _grid([10, 100] if y_grid is None else y_grid, int,
+              lambda n: replace(base, n_particles=n)),
         base,
         sigma2_coupling=coupling,
     )
@@ -97,13 +104,14 @@ def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
 
 def _cmd_sweep_cs(cfg: ResolvedConfig, args) -> tuple[str, int]:
     sweep = cfg["sweep"]
-    cs = cfg["cs"]
     base = cfg.build_experiment()
+    spec = cfg.build_cs_spec()
+    x_grid, y_grid = sweep["x_grid"], sweep["y_grid"]
     diagram = harness.cs_phase_diagram(
-        _grid(sweep["x_grid"] or [0.0, 1.0], float, lambda l3: replace(base.params, lambda3=l3)),
-        _grid(sweep["y_grid"] or [cs["m"]], int,
-              lambda m: harness.cs_instance_factory(cs["d"], m, cs["s"], cs["mu"], cs["p"])),
-        {"d": cs["d"], "s": cs["s"], "mu": cs["mu"], "p": cs["p"]},
+        _grid([0.0, 1.0] if x_grid is None else x_grid, float,
+              lambda l3: replace(base.params, lambda3=l3)),
+        _grid([spec.m] if y_grid is None else y_grid, int, lambda m: replace(spec, m=m)),
+        spec,
         base,
     )
     return (diagram.to_csv() if args.format == "csv" else diagram.to_json()), EXIT_OK
@@ -176,8 +184,8 @@ def _cmd_check_bounds(cfg: ResolvedConfig, args) -> tuple[str, int]:
 def _cmd_gradcheck(cfg: ResolvedConfig, args) -> tuple[str, int]:
     exp = cfg.build_experiment()
     gc = cfg["gradcheck"]
-    if not (gc["points"] >= 1 and gc["h"] > 0 and gc["rel_tol"] > 0):
-        raise ConfigError("gradcheck needs points >= 1 and positive h and rel_tol")
+    if not (gc["points"] >= 1 and 0 < gc["h"] < math.inf and 0 < gc["rel_tol"] < math.inf):
+        raise ConfigError("gradcheck needs points >= 1 and positive finite h and rel_tol")
     problem = exp.objective_factory(RngStream(exp.seed))
     obj = problem.objective
     gen = np.random.Generator(np.random.PCG64(exp.seed))

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
-from .dynamics import CboParams, DiffusionType, InitSpec, Schedule
-from .harness import ExperimentConfig, SuccessRule, TrialProblem, cs_instance_factory
+from .dynamics import CboParams, InitSpec, Schedule
+from .harness import CsSpec, ExperimentConfig, SuccessRule, TrialProblem
 from .objectives import Rastrigin, Sphere, ToyStochasticObjective
 from .theory import AssumptionConstants
 
@@ -21,9 +21,8 @@ class ConfigError(ValueError):
     pass
 
 
-# config types of the dataclass field annotations; a diffusion type is
-# given by its name
-_FIELD_TYPES = {"float": float, "int": int, "str": str, "DiffusionType": str}
+# config types of the dataclass field annotations
+_FIELD_TYPES = {"float": float, "int": int, "str": str}
 
 
 def _dataclass_section(cls, **config_defaults) -> dict:
@@ -43,7 +42,7 @@ _SCHEMA = {
         "n_batches": (int, 1),
     },
     # kappa None means 1/dt
-    "params": _dataclass_section(CboParams, kappa=None, diffusion="anisotropic"),
+    "params": _dataclass_section(CboParams, kappa=None),
     "schedule": _dataclass_section(Schedule, epoch_length=100),
     # the ExperimentConfig fields of the same names
     "experiment": {
@@ -60,13 +59,7 @@ _SCHEMA = {
         "y_grid": (list, None),
         "sigma2_coupling": (str, "zero"),
     },
-    "cs": {
-        "d": (int, 50),
-        "m": (int, 25),
-        "s": (int, 2),
-        "mu": (float, 0.01),
-        "p": (float, 1.0),
-    },
+    "cs": _dataclass_section(CsSpec),
     "theory": {
         "eta": (float, 1.0),
         "nu": (float, 0.5),
@@ -128,15 +121,17 @@ class ResolvedConfig:
 
     def build_params(self) -> CboParams:
         p = dict(self["params"])
-        diffusion = p.pop("diffusion")
-        try:
-            diffusion = DiffusionType(diffusion)
-        except ValueError:
-            raise ConfigError(f"params.diffusion: unknown type {diffusion!r}")
         if p["kappa"] is None:
-            p["kappa"] = 1.0 / p["dt"]
+            # a dt of 0 is left for CboParams to reject
+            p["kappa"] = 1.0 / p["dt"] if p["dt"] else math.inf
         try:
-            return CboParams(diffusion=diffusion, **p)
+            return CboParams(**p)
+        except ValueError as err:
+            raise ConfigError(str(err))
+
+    def build_cs_spec(self) -> CsSpec:
+        try:
+            return CsSpec(**self["cs"])
         except ValueError as err:
             raise ConfigError(str(err))
 
@@ -158,8 +153,7 @@ class ResolvedConfig:
         kind = spec["kind"]
         d = spec["dimension"]
         if kind == "cs":
-            cs = self["cs"]
-            return cs_instance_factory(cs["d"], cs["m"], cs["s"], cs["mu"], cs["p"])
+            return self.build_cs_spec()
         if d < 1:
             raise ConfigError(f"objective.dimension must be at least 1, got {d}")
         if kind == "sphere":

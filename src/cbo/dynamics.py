@@ -7,7 +7,6 @@ import ctypes
 import math
 import sys
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,11 +60,6 @@ class DivergedError(RuntimeError):
         self.step_index = step_index
 
 
-class DiffusionType(Enum):
-    ISOTROPIC = "isotropic"
-    ANISOTROPIC = "anisotropic"
-
-
 @dataclass(frozen=True)
 class CboParams:
     """All dynamics parameters.
@@ -86,22 +80,22 @@ class CboParams:
     theta: float = 0.0
     kappa: float = 100.0
     dt: float = 0.01
-    diffusion: DiffusionType = DiffusionType.ANISOTROPIC
+    diffusion: str = "anisotropic"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got dt={self.dt}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got alpha={self.alpha}")
-        if self.lambda1 <= 0:
-            raise ValueError(f"lambda1 must be positive, got lambda1={self.lambda1}")
+        # every check fails on NaN; beta alone may be inf
+        for name in ("dt", "alpha", "lambda1", "kappa"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {name}={value}")
         for name in ("lambda2", "lambda3", "sigma1", "sigma2", "sigma3", "theta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative (or inf)")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got kappa={self.kappa}")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {name}={value}")
+        if not self.beta >= 0:
+            raise ValueError(f"beta must be nonnegative (or inf), got beta={self.beta}")
+        if self.diffusion not in ("anisotropic", "isotropic"):
+            raise ValueError(f"unknown diffusion {self.diffusion!r}")
 
     @property
     def uses_exact_memory(self) -> bool:
@@ -312,11 +306,11 @@ def exact_memory_update(ens: Ensemble, new_positions, new_energies) -> Ensemble:
 
 
 def _scaled_noise(
-    arg: np.ndarray, z: np.ndarray, diffusion: DiffusionType, scale: float
+    arg: np.ndarray, z: np.ndarray, diffusion: str, scale: float
 ) -> np.ndarray:
     """``scale * D(arg) * z`` for the diffusion matrix D, written into ``z``:
     D(arg) = diag(arg) (anisotropic) or ||arg|| Id (isotropic) per particle."""
-    if diffusion is DiffusionType.ANISOTROPIC:
+    if diffusion == "anisotropic":
         z *= arg
     else:
         z *= np.linalg.norm(arg, axis=-1, keepdims=True)
@@ -456,9 +450,11 @@ class InitSpec:
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.std < 0:
-                raise ValueError("std must be nonnegative")
+            if not (math.isfinite(self.mean) and 0 <= self.std < math.inf):
+                raise ValueError("gaussian init needs a finite mean and a finite nonnegative std")
         elif self.kind == "uniform":
+            if not (math.isfinite(self.low) and math.isfinite(self.high)):
+                raise ValueError("uniform init needs a finite box")
             if not self.high > self.low:
                 raise ValueError("empty box: high must exceed low")
         else:

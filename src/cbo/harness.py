@@ -8,7 +8,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,8 +51,13 @@ class SuccessRule:
     def __post_init__(self):
         if self.kind not in ("consensus_near_minimizer", "exact_sparse_recovery"):
             raise ValueError(f"unknown success rule {self.kind!r}")
-        if self.threshold < 0 or self.support_threshold <= 0 or self.residual_tol <= 0:
-            raise ValueError("success thresholds must be positive")
+        # every check fails on NaN
+        if not (
+            0 <= self.threshold < math.inf
+            and 0 < self.support_threshold < math.inf
+            and 0 < self.residual_tol < math.inf
+        ):
+            raise ValueError("success thresholds must be positive and finite")
         if self.norm not in ("inf", "2"):
             raise ValueError(f"unknown norm {self.norm!r}")
 
@@ -103,9 +108,10 @@ def horizon_steps(horizon: float, dt: float) -> int:
     """The number of steps of size ``dt`` that reach ``horizon``, which must
     be a positive integer multiple of ``dt``."""
     steps = horizon / dt
-    if not math.isclose(steps, round(steps), abs_tol=1e-9) or round(steps) <= 0:
+    whole = round(steps) if math.isfinite(steps) else 0
+    if whole <= 0 or not math.isclose(steps, whole, abs_tol=1e-9):
         raise ValueError("horizon_T must be a positive integer multiple of dt")
-    return round(steps)
+    return whole
 
 
 @dataclass
@@ -323,53 +329,54 @@ def rastrigin_phase_diagram(
     )
 
 
-def cs_instance_factory(
-    d: int, m: int, s: int, mu: float, p: float
-) -> Callable[[RngStream], TrialProblem]:
-    """Sparse-recovery problems with a fresh random instance per trial, drawn
-    from the trial's instance channel, averaging over measurement
-    randomness."""
-    check_cs_sizes(d, m, s)
-    check_cs_regularizer(mu, p)
+@dataclass(frozen=True)
+class CsSpec:
+    """A sparse-recovery problem size and regularizer: d unknowns, m
+    measurements, sparsity s and the l_p penalty mu |x|_p^p.
 
-    def factory(rng: RngStream) -> TrialProblem:
-        return TrialProblem(*generate_cs_instance(d, m, s, mu, p, rng))
+    Called with a trial's RngStream, it is the trial factory of an
+    experiment: a fresh random instance per trial, drawn from the trial's
+    instance channel, averaging over measurement randomness."""
 
-    return factory
+    d: int = 50
+    m: int = 25
+    s: int = 2
+    mu: float = 0.01
+    p: float = 1.0
+
+    def __post_init__(self):
+        check_cs_sizes(self.d, self.m, self.s)
+        check_cs_regularizer(self.mu, self.p)
+
+    def __call__(self, rng: RngStream) -> TrialProblem:
+        return TrialProblem(*generate_cs_instance(self.d, self.m, self.s, self.mu, self.p, rng))
 
 
 def cs_experiment_config(
-    d: int,
-    m: int,
-    s: int,
-    mu: float,
-    p: float,
-    base_config: ExperimentConfig,
+    d: int, m: int, s: int, mu: float, p: float, base_config: ExperimentConfig
 ) -> ExperimentConfig:
     """``base_config`` with a fresh random instance per trial."""
-    return replace(base_config, objective_factory=cs_instance_factory(d, m, s, mu, p))
+    return replace(base_config, objective_factory=CsSpec(d, m, s, mu, p))
 
 
 def cs_phase_diagram(
     lambda3_grid,
     m_grid,
-    instance_spec: dict,
+    spec: CsSpec,
     base_config: ExperimentConfig,
 ) -> PhaseDiagram:
     """Recovery probability over (gradient-drift strength, measurement
-    count).  instance_spec holds d, s, mu and p."""
+    count); ``spec`` gives the other sizes and the regularizer."""
 
     def cell(lambda3, m):
         params = replace(base_config.params, lambda3=float(lambda3))
-        cfg = replace(base_config, params=params)
-        return cs_experiment_config(
-            instance_spec["d"], int(m), instance_spec["s"],
-            instance_spec["mu"], instance_spec["p"], cfg,
-        )
+        return replace(base_config, params=params, objective_factory=replace(spec, m=int(m)))
 
+    instance = asdict(spec)
+    del instance["m"]
     return _sweep(
         "lambda3", lambda3_grid, "m", m_grid, cell,
-        provenance={"experiment": "compressed_sensing", "instance": dict(instance_spec),
+        provenance={"experiment": "compressed_sensing", "instance": instance,
                     **_config_provenance(base_config)},
     )
 
@@ -397,19 +404,10 @@ class DecayReport:
     eps_time_in_bracket: bool | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                **asdict(self.fit),
-                "chi1": self.chi1,
-                "chi2": self.chi2,
-                "bracket": list(self.bracket),
-                "rate_above_lower": self.rate_above_lower,
-                "t_eps": self.t_eps,
-                "t_star": self.t_star,
-                "t_lower": self.t_lower,
-                "eps_time_in_bracket": self.eps_time_in_bracket,
-            }
-        )
+        """The report without its V track, the fit's fields first."""
+        payload = asdict(self)
+        del payload["times"], payload["values"]
+        return json.dumps({**payload.pop("fit"), **payload})
 
 
 def decay_experiment(
@@ -486,19 +484,12 @@ def decay_experiment(
 
 
 def _config_provenance(config: ExperimentConfig) -> dict:
-    p = config.params
-    return {
-        "params": {
-            **asdict(p),
-            "beta": p.beta if math.isfinite(p.beta) else "inf",
-            "diffusion": p.diffusion.value,
-        },
-        "n_particles": config.n_particles,
-        "horizon_T": config.horizon_T,
-        "trials": config.trials,
-        "seed": config.seed,
-        "success": asdict(config.success),
-        "schedule": asdict(config.schedule),
-        "init": asdict(config.init),
-        "n_consensus": config.n_consensus,
+    """The fields of ``config`` but its trial factory, as JSON values."""
+    out = {
+        f.name: asdict(value) if is_dataclass(value := getattr(config, f.name)) else value
+        for f in fields(config)
+        if f.name != "objective_factory"
     }
+    if math.isinf(config.params.beta):
+        out["params"]["beta"] = "inf"
+    return out

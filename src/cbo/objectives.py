@@ -4,6 +4,7 @@ sparse recovery, and gradient-verification helpers."""
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -172,8 +173,8 @@ class CsObjective(Objective):
 def check_cs_regularizer(mu: float, p: float) -> None:
     if p not in (1.0, 0.5):
         raise ValueError(f"unsupported exponent p={p}")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not 0 <= mu < math.inf:  # fails on NaN
+        raise ValueError("mu must be nonnegative and finite")
 
 
 def check_cs_sizes(d: int, m: int, s: int) -> None:

@@ -35,11 +35,12 @@ class AssumptionConstants:
     E_min: float = 0.0
 
     def __post_init__(self):
+        # every check fails on NaN
         for name in ("eta", "nu", "R0", "E_inf"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.C_grad is not None and self.C_grad < 0:
-            raise ValueError("C_grad must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.C_grad is not None and not 0 <= self.C_grad < math.inf:
+            raise ValueError("C_grad must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,37 @@ SMALL_CS = {
 }
 DECAY = yaml.safe_load((CONFIG_DIR / "decay.yaml").read_text())
 TOY = yaml.safe_load((CONFIG_DIR / "toy_minibatch.yaml").read_text())
+SMALL_SPHERE = {
+    "objective": {"kind": "sphere", "dimension": 2},
+    "params": {"dt": 0.1},
+    "experiment": {"n_particles": 5, "horizon_T": 0.5, "trials": 2},
+}
+SMALL_RASTRIGIN = {**SMALL_SPHERE, "objective": {"kind": "rastrigin", "dimension": 2}}
+
+
+def setting(section, key, value, base=SMALL_SPHERE):
+    """``base`` with ``section.key`` set to ``value``."""
+    return {**base, section: {**base.get(section, {}), key: value}}
+
+
+# settings that are NaN or infinite where the dynamics need finite values
+NONFINITE = [
+    *(("run", setting("params", key, value), f"params.{key}={value}")
+      for key in ("alpha", "lambda1", "lambda2", "sigma1", "theta", "kappa", "dt")
+      for value in (math.inf, math.nan)),
+    ("run", setting("params", "beta", math.nan), "params.beta=nan"),
+    ("run", setting("params", "dt", 0.0), "params.dt=0"),
+    ("run", setting("init", "mean", math.inf), "init.mean=inf"),
+    ("run", setting("init", "std", math.nan), "init.std=nan"),
+    ("run", setting("init", "high", math.inf, {**SMALL_SPHERE, "init": {"kind": "uniform"}}),
+     "init.high=inf"),
+    ("run", setting("experiment", "horizon_T", math.inf), "experiment.horizon_T=inf"),
+    ("run", setting("success", "threshold", math.nan), "success.threshold=nan"),
+    ("run", setting("cs", "mu", math.nan, SMALL_CS), "cs.mu=nan"),
+    ("check-bounds", setting("theory", "R0", math.inf), "theory.R0=inf"),
+    ("gradcheck", setting("gradcheck", "h", math.inf), "gradcheck.h=inf"),
+    ("gradcheck", setting("gradcheck", "rel_tol", math.inf), "gradcheck.rel_tol=inf"),
+]
 
 
 @pytest.mark.parametrize(
@@ -225,16 +256,24 @@ TOY = yaml.safe_load((CONFIG_DIR / "toy_minibatch.yaml").read_text())
                              "schedule": {"alpha_rule": "double_per_epoch", "epoch_length": 1},
                              "experiment": {"horizon_T": 20.0, "trials": 2},
                              "sweep": {"x_grid": [0.0], "y_grid": [5]}}),
+        # the cs section is checked even when the base objective is not cs
+        ("sweep-cs", setting("cs", "mu", -1.0)),
+        # an empty grid is not an absent one
+        ("sweep-rastrigin", setting("sweep", "x_grid", [], SMALL_RASTRIGIN)),
+        ("sweep-cs", setting("sweep", "y_grid", [], SMALL_CS)),
+        *((command, payload) for command, payload, _ in NONFINITE),
     ],
     ids=["cs.m=0", "cs.s=0", "cs.m>cs.d", "rastrigin-y_grid=0", "cs-y_grid=0",
          "gradcheck.points=0", "gradcheck.h=0", "cs.p=0.7", "cs.mu=-1",
          "sigma2_coupling=other", "theory.vartheta=1.5", "theory.cases=0", "theory.eps=0",
-         "run-alpha-doubling-overflows", "sweep-alpha-doubling-overflows"],
+         "run-alpha-doubling-overflows", "sweep-alpha-doubling-overflows",
+         "sphere-sweep-cs.mu=-1", "rastrigin-x_grid=[]", "cs-y_grid=[]",
+         *(name for _, _, name in NONFINITE)],
 )
 def test_out_of_range_settings_are_config_errors(tmp_path, caplog, command, payload):
-    """Out-of-range sizes, regularizer, sweep grid values and coupling, theory
-    and gradcheck settings exit 1 before anything runs, and no result file is
-    written."""
+    """Out-of-range sizes, regularizer, sweep grids, grid values and coupling,
+    theory and gradcheck settings, and non-finite settings exit 1 before
+    anything runs, and no result file is written."""
     out = tmp_path / "result.txt"
     code = main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
     assert code == EXIT_CONFIG
@@ -368,7 +407,10 @@ class TestSweepCommands:
         payload = json.loads(out.read_text())
         assert payload["x_param"] == "lambda3"
         assert payload["y_param"] == "m"
-        assert payload["config"]["instance"]["d"] == 10
+        # key order included
+        assert json.dumps(payload["config"]["instance"]) == json.dumps(
+            {"d": 10, "s": 2, "mu": 0.03, "p": 1.0}
+        )
 
 
 class TestTheoryCommands:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import cbo.dynamics
 from cbo.dynamics import (
     CboParams,
-    DiffusionType,
     DivergedError,
     Ensemble,
     InitSpec,
@@ -191,7 +190,7 @@ class TestStep:
         obj = FunctionObjective(lambda X: np.zeros(len(X)), 2)
         params = CboParams(
             lambda1=1e-12, sigma1=5.0, dt=0.1, kappa=10.0,
-            diffusion=DiffusionType.ANISOTROPIC,
+            diffusion="anisotropic",
         )
         pts = np.array([[1.0, -2.0], [1.0, 4.0]])
         ens = make_ensemble(pts, obj)
@@ -256,7 +255,7 @@ BATCH_PARAMS = {
                        dt=0.05, kappa=20.0),
     "smoothed": CboParams(lambda1=1.0, lambda3=0.2, sigma1=0.8, sigma3=0.1, alpha=30.0,
                           beta=3.0, theta=0.2, kappa=4.0, dt=0.05,
-                          diffusion=DiffusionType.ISOTROPIC),
+                          diffusion="isotropic"),
 }
 
 
@@ -663,6 +662,8 @@ class TestParams:
             CboParams(alpha=0.0)
         with pytest.raises(ValueError, match="lambda1"):
             CboParams(lambda1=0.0)
+        with pytest.raises(ValueError, match="diffusion"):
+            CboParams(diffusion="radial")
 
     def test_exact_memory_detection(self):
         assert CboParams(dt=0.01, kappa=100.0).uses_exact_memory

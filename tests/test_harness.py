@@ -11,6 +11,7 @@ from cbo.dynamics import (
     CboParams, DivergedError, InitSpec, Schedule, init_ensemble, lyapunov_V, run, step,
 )
 from cbo.harness import (
+    CsSpec,
     ExperimentConfig,
     PhaseDiagram,
     SuccessRule,
@@ -402,7 +403,7 @@ class TestPhaseDiagrams:
             trials=2,
             success=SuccessRule(kind="exact_sparse_recovery"),
         )
-        d = cs_phase_diagram([0.0, 1.0], [6, 8], {"d": 10, "s": 2, "mu": 0.03, "p": 1.0}, base)
+        d = cs_phase_diagram([0.0, 1.0], [6, 8], CsSpec(d=10, m=6, s=2, mu=0.03), base)
         assert [len(row) for row in d.cells] == [2, 2]
         assert json.loads(d.to_json())["config"]["experiment"] == "compressed_sensing"
 
@@ -459,8 +460,11 @@ class TestDecayExperiment:
             n_particles=50, horizon=1.0, vartheta=0.25, seed=2,
         )
         payload = json.loads(report.to_json())
-        assert set(payload) >= {"rate", "chi1", "chi2", "bracket", "r_squared"}
-        assert set(payload) >= {"t_eps", "t_star", "t_lower", "eps_time_in_bracket"}
+        # the fit's fields first, then the report's without the V track, in order
+        assert list(payload) == [
+            "rate", "intercept", "r_squared", "chi1", "chi2", "bracket", "rate_above_lower",
+            "t_eps", "t_star", "t_lower", "eps_time_in_bracket",
+        ]
 
     def full_v_track(self, n, steps, seed):
         """Time and V at the start and after every step of a plain ``step``
