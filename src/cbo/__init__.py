@@ -2,7 +2,6 @@
 
 from .dynamics import (
     CboParams,
-    DivergedError,
     Ensemble,
     InitSpec,
     RunResult,
@@ -14,6 +13,7 @@ from .dynamics import (
     run,
     step,
 )
+from .errors import ConfigError, DivergedError
 from .harness import (
     CsSpec,
     ExperimentConfig,

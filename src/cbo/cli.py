@@ -8,13 +8,13 @@ import json
 import logging
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import harness
-from .config import ConfigError, ResolvedConfig, load_config
-from .dynamics import DivergedError, init_ensemble, run
+from .config import ResolvedConfig, _coerce, load_config
+from .dynamics import init_ensemble, run
+from .errors import ConfigError, DivergedError
 from .objectives import finite_diff_grad
 from .rng import RngStream
 from .theory import chi_rates, chi_rates_memoryless, laplace_bound, time_horizon_star
@@ -67,36 +67,20 @@ def _cmd_run(cfg: ResolvedConfig, args) -> tuple[str, int]:
     return json.dumps(payload, indent=2), EXIT_OK
 
 
-def _grid(values: list, convert, build) -> list:
-    """The sweep grid ``values`` through ``convert``; an empty grid, or a
-    value that ``build``, the constructor of a cell's part, rejects, is a
-    configuration error."""
-    if not values:
-        raise ConfigError("sweep grids must be nonempty")
-    try:
-        grid = [convert(v) for v in values]
-        for v in grid:
-            build(v)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"sweep grid value: {err}")
-    return grid
+def _grid(sweep: dict, key: str, typ, default: list) -> list:
+    """The sweep grid ``key``, each value checked like a setting of type
+    ``typ``; an absent grid, not an empty one, means ``default``."""
+    values = sweep[key]
+    return default if values is None else [_coerce("sweep", key, typ, v) for v in values]
 
 
 def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
     sweep = cfg["sweep"]
-    base = cfg.build_experiment()
-    coupling = sweep["sigma2_coupling"]
-    if coupling not in harness.SIGMA2_COUPLINGS:
-        raise ConfigError(f"sweep.sigma2_coupling: unknown coupling {coupling!r}")
-    # an absent grid, not an empty one, means the default
-    x_grid, y_grid = sweep["x_grid"], sweep["y_grid"]
     diagram = harness.rastrigin_phase_diagram(
-        _grid([0.0, 1.0, 2.0, 4.0] if x_grid is None else x_grid, float,
-              lambda l2: replace(base.params, lambda2=l2)),
-        _grid([10, 100] if y_grid is None else y_grid, int,
-              lambda n: replace(base, n_particles=n)),
-        base,
-        sigma2_coupling=coupling,
+        _grid(sweep, "x_grid", float, [0.0, 1.0, 2.0, 4.0]),
+        _grid(sweep, "y_grid", int, [10, 100]),
+        cfg.build_experiment(),
+        sigma2_coupling=sweep["sigma2_coupling"],
     )
     diagram.provenance["objective"] = dict(cfg["objective"])
     return (diagram.to_csv() if args.format == "csv" else diagram.to_json()), EXIT_OK
@@ -104,15 +88,12 @@ def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
 
 def _cmd_sweep_cs(cfg: ResolvedConfig, args) -> tuple[str, int]:
     sweep = cfg["sweep"]
-    base = cfg.build_experiment()
     spec = cfg.build_cs_spec()
-    x_grid, y_grid = sweep["x_grid"], sweep["y_grid"]
     diagram = harness.cs_phase_diagram(
-        _grid([0.0, 1.0] if x_grid is None else x_grid, float,
-              lambda l3: replace(base.params, lambda3=l3)),
-        _grid([spec.m] if y_grid is None else y_grid, int, lambda m: replace(spec, m=m)),
+        _grid(sweep, "x_grid", float, [0.0, 1.0]),
+        _grid(sweep, "y_grid", int, [spec.m]),
         spec,
-        base,
+        cfg.build_experiment(),
     )
     return (diagram.to_csv() if args.format == "csv" else diagram.to_json()), EXIT_OK
 
@@ -141,6 +122,8 @@ def _cmd_check_bounds(cfg: ResolvedConfig, args) -> tuple[str, int]:
     exp = cfg.build_experiment()
     theory = _theory(cfg)
     constants = cfg.build_constants()
+    if constants.R0 < 0.1:
+        raise ConfigError("check-bounds draws radii from [0.1, R0]: theory.R0 must be at least 0.1")
     rates = chi_rates(exp.params, constants)
     memoryless = chi_rates_memoryless(exp.params, constants)
     payload = {
@@ -189,13 +172,15 @@ def _cmd_gradcheck(cfg: ResolvedConfig, args) -> tuple[str, int]:
     problem = exp.objective_factory(RngStream(exp.seed))
     obj = problem.objective
     gen = np.random.Generator(np.random.PCG64(exp.seed))
-    worst = 0.0
+    errors = []
     for _ in range(gc["points"]):
         x = gen.uniform(-2, 2, size=obj.dimension)
         analytic = obj.grad(x)
         numeric = finite_diff_grad(obj, x, gc["h"])
         scale = max(np.linalg.norm(numeric), 1e-12)
-        worst = max(worst, float(np.linalg.norm(analytic - numeric)) / scale)
+        errors.append(float(np.linalg.norm(analytic - numeric)) / scale)
+    # NaN if any error is, which fails the check
+    worst = float(np.max(errors))
     passed = bool(worst < gc["rel_tol"])
     payload = json.dumps(
         {"points": gc["points"], "max_rel_error": worst, "tolerance": gc["rel_tol"],

@@ -6,31 +6,30 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
 from .dynamics import CboParams, InitSpec, Schedule
+from .errors import ConfigError
 from .harness import CsSpec, ExperimentConfig, SuccessRule, TrialProblem
 from .objectives import Rastrigin, Sphere, ToyStochasticObjective
 from .theory import AssumptionConstants
 
-
-class ConfigError(ValueError):
-    pass
-
-
-# config types of the dataclass field annotations
-_FIELD_TYPES = {"float": float, "int": int, "str": str}
+# config types of the scalar dataclass field annotations
+_FIELD_TYPES = {"float": float, "int": int, "str": str, "int | None": int}
 
 
 def _dataclass_section(cls, **config_defaults) -> dict:
-    """Keys, types and defaults of the section mirroring dataclass ``cls``;
-    ``config_defaults`` are the defaults where the config's differ."""
+    """Keys, types and defaults of the section mirroring the scalar fields
+    of dataclass ``cls``; ``config_defaults`` are the defaults where the
+    config's differ or the field has none."""
     return {
         f.name: (_FIELD_TYPES[f.type], config_defaults.get(f.name, f.default))
         for f in fields(cls)
+        if f.type in _FIELD_TYPES
     }
 
 
@@ -44,14 +43,9 @@ _SCHEMA = {
     # kappa None means 1/dt
     "params": _dataclass_section(CboParams, kappa=None),
     "schedule": _dataclass_section(Schedule, epoch_length=100),
-    # the ExperimentConfig fields of the same names
-    "experiment": {
-        "n_particles": (int, 100),
-        "horizon_T": (float, 20.0),
-        "trials": (int, 100),
-        "seed": (int, 0),
-        "n_consensus": (int, None),
-    },
+    "experiment": _dataclass_section(
+        ExperimentConfig, n_particles=100, horizon_T=20.0, trials=100, seed=0
+    ),
     "init": _dataclass_section(InitSpec),
     "success": _dataclass_section(SuccessRule),
     "sweep": {
@@ -78,17 +72,17 @@ _SCHEMA = {
 }
 
 
+# a number in a string, as YAML leaves one without a dot (1e-4)
+_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
 def _coerce(section: str, key: str, typ, raw):
-    if raw is None:
-        return None
     if typ is float:
         if isinstance(raw, str):
             if raw.strip().lower() in ("inf", "+inf", ".inf", "infinity"):
                 return math.inf
-            try:
+            if _NUMBER.fullmatch(raw.strip()):
                 return float(raw)
-            except ValueError:
-                raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}")
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}")
         return float(raw)
@@ -124,27 +118,18 @@ class ResolvedConfig:
         if p["kappa"] is None:
             # a dt of 0 is left for CboParams to reject
             p["kappa"] = 1.0 / p["dt"] if p["dt"] else math.inf
-        try:
-            return CboParams(**p)
-        except ValueError as err:
-            raise ConfigError(str(err))
+        return CboParams(**p)
 
     def build_cs_spec(self) -> CsSpec:
-        try:
-            return CsSpec(**self["cs"])
-        except ValueError as err:
-            raise ConfigError(str(err))
+        return CsSpec(**self["cs"])
 
     def build_constants(self) -> AssumptionConstants:
         # the section's other keys (vartheta, eps, cases) configure the checks;
         # E_min is no key and keeps its default
         t = self["theory"]
-        try:
-            return AssumptionConstants(
-                **{f.name: t[f.name] for f in fields(AssumptionConstants) if f.name in t}
-            )
-        except ValueError as err:
-            raise ConfigError(str(err))
+        return AssumptionConstants(
+            **{f.name: t[f.name] for f in fields(AssumptionConstants) if f.name in t}
+        )
 
     def objective_factory(self):
         """Returns the per-trial problem factory. CS objectives generate a
@@ -168,17 +153,14 @@ class ResolvedConfig:
         return lambda rng: TrialProblem(obj, x_star=origin)
 
     def build_experiment(self) -> ExperimentConfig:
-        try:
-            return ExperimentConfig(
-                objective_factory=self.objective_factory(),
-                params=self.build_params(),
-                schedule=Schedule(**self["schedule"]),
-                success=SuccessRule(**self["success"]),
-                init=InitSpec(**self["init"]),
-                **self["experiment"],
-            )
-        except ValueError as err:
-            raise ConfigError(str(err))
+        return ExperimentConfig(
+            objective_factory=self.objective_factory(),
+            params=self.build_params(),
+            schedule=Schedule(**self["schedule"]),
+            success=SuccessRule(**self["success"]),
+            init=InitSpec(**self["init"]),
+            **self["experiment"],
+        )
 
 
 def resolve(raw: dict | None) -> ResolvedConfig:
@@ -198,10 +180,9 @@ def resolve(raw: dict | None) -> ResolvedConfig:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
         resolved = {}
         for key, (typ, default) in keys.items():
-            if key in given:
-                resolved[key] = _coerce(section, key, typ, given[key])
-            else:
-                resolved[key] = default
+            # a null value is an absent one
+            value = given.get(key)
+            resolved[key] = default if value is None else _coerce(section, key, typ, value)
         sections[section] = resolved
     return ResolvedConfig(sections)
 
@@ -216,10 +197,9 @@ def load_config(path: str | None, seed_override: int | None = None) -> ResolvedC
     cfg = resolve(raw)
     env_seed = os.environ.get("CBO_SEED")
     if env_seed is not None:
-        try:
-            cfg["experiment"]["seed"] = int(env_seed)
-        except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", env_seed):
             raise ConfigError(f"CBO_SEED: expected an integer, got {env_seed!r}")
+        cfg["experiment"]["seed"] = int(env_seed)
     if seed_override is not None:
         cfg["experiment"]["seed"] = int(seed_override)
     return cfg

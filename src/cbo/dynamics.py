@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError, DivergedError
 from .objectives import Objective
 from .rng import (
     CHANNEL_BATCH,
@@ -51,15 +52,6 @@ def _keep_freed_heap() -> None:
 _keep_freed_heap()
 
 
-class DivergedError(RuntimeError):
-    """Raised when a single trajectory develops non-finite coordinates or
-    energies."""
-
-    def __init__(self, step_index: int):
-        super().__init__(f"diverged ensemble at step {step_index}")
-        self.step_index = step_index
-
-
 @dataclass(frozen=True)
 class CboParams:
     """All dynamics parameters.
@@ -87,15 +79,15 @@ class CboParams:
         for name in ("dt", "alpha", "lambda1", "kappa"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {name}={value}")
+                raise ConfigError(f"{name} must be positive and finite, got {name}={value}")
         for name in ("lambda2", "lambda3", "sigma1", "sigma2", "sigma3", "theta"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {name}={value}")
+                raise ConfigError(f"{name} must be nonnegative and finite, got {name}={value}")
         if not self.beta >= 0:
-            raise ValueError(f"beta must be nonnegative (or inf), got beta={self.beta}")
+            raise ConfigError(f"beta must be nonnegative (or inf), got beta={self.beta}")
         if self.diffusion not in ("anisotropic", "isotropic"):
-            raise ValueError(f"unknown diffusion {self.diffusion!r}")
+            raise ConfigError(f"unknown diffusion {self.diffusion!r}")
 
     @property
     def uses_exact_memory(self) -> bool:
@@ -164,14 +156,14 @@ class Schedule:
 
     def __post_init__(self):
         if self.alpha_rule not in ("constant", "double_per_epoch"):
-            raise ValueError(f"unknown alpha_rule {self.alpha_rule!r}")
+            raise ConfigError(f"unknown alpha_rule {self.alpha_rule!r}")
         if self.sigma_rule not in ("constant", "log2_cooling"):
-            raise ValueError(f"unknown sigma_rule {self.sigma_rule!r}")
+            raise ConfigError(f"unknown sigma_rule {self.sigma_rule!r}")
         if self.epoch_length <= 0:
-            raise ValueError("epoch_length must be positive")
+            raise ConfigError("epoch_length must be positive")
 
     def params_at(self, base: CboParams, step_index: int) -> CboParams:
-        """The parameters of step ``step_index``.  Raises ValueError when
+        """The parameters of step ``step_index``.  Raises ConfigError when
         alpha doubling leaves the floats there: an infinite alpha would turn
         the consensus NaN and read as divergence."""
         epoch = step_index // self.epoch_length
@@ -182,7 +174,7 @@ class Schedule:
             try:
                 alpha = math.ldexp(base.alpha, epoch)  # exactly alpha * 2**epoch
             except OverflowError:
-                raise ValueError(
+                raise ConfigError(
                     f"alpha doubling overflows at step {step_index} (epoch {epoch})"
                 ) from None
             out = replace(out, alpha=alpha)
@@ -451,14 +443,14 @@ class InitSpec:
     def __post_init__(self):
         if self.kind == "gaussian":
             if not (math.isfinite(self.mean) and 0 <= self.std < math.inf):
-                raise ValueError("gaussian init needs a finite mean and a finite nonnegative std")
+                raise ConfigError("gaussian init needs a finite mean and a finite nonnegative std")
         elif self.kind == "uniform":
             if not (math.isfinite(self.low) and math.isfinite(self.high)):
-                raise ValueError("uniform init needs a finite box")
+                raise ConfigError("uniform init needs a finite box")
             if not self.high > self.low:
-                raise ValueError("empty box: high must exceed low")
+                raise ConfigError("empty box: high must exceed low")
         else:
-            raise ValueError(f"unknown init kind {self.kind!r}")
+            raise ConfigError(f"unknown init kind {self.kind!r}")
 
 
 def init_ensemble(

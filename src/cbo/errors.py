@@ -1,0 +1,17 @@
+"""The two failures that are not defects of the program.  The CLI exits 1
+on a ``ConfigError`` and 2 on anything else."""
+
+
+class ConfigError(ValueError):
+    """A value a config file can set is out of range.  The check of the
+    value raises it, wherever that check runs; a check of a value the
+    program computes raises a plain ``ValueError``."""
+
+
+class DivergedError(RuntimeError):
+    """Raised when a single trajectory develops non-finite coordinates or
+    energies."""
+
+    def __init__(self, step_index: int):
+        super().__init__(f"diverged ensemble at step {step_index}")
+        self.step_index = step_index

@@ -15,7 +15,6 @@ import numpy as np
 
 from .dynamics import (
     CboParams,
-    DivergedError,
     Ensemble,
     InitSpec,
     Schedule,
@@ -23,6 +22,7 @@ from .dynamics import (
     lyapunov_V,
     run,
 )
+from .errors import ConfigError, DivergedError
 from .objectives import (
     CsObjective, Objective, check_cs_regularizer, check_cs_sizes, generate_cs_instance,
 )
@@ -50,16 +50,16 @@ class SuccessRule:
 
     def __post_init__(self):
         if self.kind not in ("consensus_near_minimizer", "exact_sparse_recovery"):
-            raise ValueError(f"unknown success rule {self.kind!r}")
+            raise ConfigError(f"unknown success rule {self.kind!r}")
         # every check fails on NaN
         if not (
             0 <= self.threshold < math.inf
             and 0 < self.support_threshold < math.inf
             and 0 < self.residual_tol < math.inf
         ):
-            raise ValueError("success thresholds must be positive and finite")
+            raise ConfigError("success thresholds must be positive and finite")
         if self.norm not in ("inf", "2"):
-            raise ValueError(f"unknown norm {self.norm!r}")
+            raise ConfigError(f"unknown norm {self.norm!r}")
 
 
 @dataclass
@@ -93,11 +93,13 @@ class ExperimentConfig:
         # the last step has the largest alpha a doubling schedule reaches
         self.schedule.params_at(self.params, horizon_steps(self.horizon_T, self.params.dt) - 1)
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise ConfigError("trials must be at least 1")
         if self.n_particles < 1:
-            raise ValueError("n_particles must be at least 1")
+            raise ConfigError("n_particles must be at least 1")
         if self.n_consensus is not None and self.n_consensus < 1:
-            raise ValueError("n_consensus must be at least 1")
+            raise ConfigError("n_consensus must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
     @property
     def n_steps(self) -> int:
@@ -110,7 +112,7 @@ def horizon_steps(horizon: float, dt: float) -> int:
     steps = horizon / dt
     whole = round(steps) if math.isfinite(steps) else 0
     if whole <= 0 or not math.isclose(steps, whole, abs_tol=1e-9):
-        raise ValueError("horizon_T must be a positive integer multiple of dt")
+        raise ConfigError("horizon_T must be a positive integer multiple of dt")
     return whole
 
 
@@ -205,7 +207,7 @@ def _run_outcomes(config: ExperimentConfig, trials: Sequence[int]) -> list[Trial
     if config.success.kind == "exact_sparse_recovery" and not all(
         isinstance(p.objective, CsObjective) for p in problems
     ):
-        raise ValueError("exact_sparse_recovery needs a CsObjective")
+        raise ConfigError("exact_sparse_recovery needs a CsObjective")
     objective = type(problems[0].objective).stack([p.objective for p in problems])
     ens = init_ensemble(config.n_particles, objective.dimension, config.init, rng, objective)
     result = run(
@@ -289,12 +291,11 @@ def _sweep(
     config_for_cell: Callable[[object, object], ExperimentConfig], provenance: dict,
 ) -> PhaseDiagram:
     if len(x_grid) == 0 or len(y_grid) == 0:
-        raise ValueError("sweep grids must be nonempty")
-    cells = [[run_trials(config_for_cell(xv, yv)) for xv in x_grid] for yv in y_grid]
+        raise ConfigError("sweep grids must be nonempty")
+    # every cell's settings are checked before the first cell runs
+    configs = [[config_for_cell(xv, yv) for xv in x_grid] for yv in y_grid]
+    cells = [[run_trials(config) for config in row] for row in configs]
     return PhaseDiagram(x_param, list(x_grid), y_param, list(y_grid), cells, provenance)
-
-
-SIGMA2_COUPLINGS = ("zero", "lambda2_sigma1", "lambda1_sigma1")
 
 
 def rastrigin_phase_diagram(
@@ -308,8 +309,8 @@ def rastrigin_phase_diagram(
     sigma2_coupling picks the memory-noise convention: "zero" (no memory
     noise), "lambda2_sigma1" (sigma2 = lambda2 * sigma1) or "lambda1_sigma1"
     (sigma2 = lambda1 * sigma1)."""
-    if sigma2_coupling not in SIGMA2_COUPLINGS:
-        raise ValueError(f"unknown sigma2 coupling {sigma2_coupling!r}")
+    if sigma2_coupling not in ("zero", "lambda2_sigma1", "lambda1_sigma1"):
+        raise ConfigError(f"unknown sigma2 coupling {sigma2_coupling!r}")
 
     def cell(lambda2, n):
         base = base_config.params
@@ -431,9 +432,9 @@ def decay_experiment(
     times and values above eps, and the time of the crossing as ``t_eps``."""
     rates = chi_rates(params, constants)
     if rates.chi1 <= 0:
-        raise ValueError("no guarantee regime: chi1 must be positive")
+        raise ConfigError("no guarantee regime: chi1 must be positive")
     if not (0 <= vartheta < 1 and eps > 0):
-        raise ValueError("decay needs vartheta in [0, 1) and a positive eps")
+        raise ConfigError("decay needs vartheta in [0, 1) and a positive eps")
     steps = horizon_steps(horizon, params.dt)
     rng = RngStream(seed)
     ens = init_ensemble(n_particles, objective.dimension, init, rng, objective)

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .rng import CHANNEL_INSTANCE, RngStream
 
 
@@ -172,15 +173,15 @@ class CsObjective(Objective):
 
 def check_cs_regularizer(mu: float, p: float) -> None:
     if p not in (1.0, 0.5):
-        raise ValueError(f"unsupported exponent p={p}")
+        raise ConfigError(f"unsupported exponent p={p}")
     if not 0 <= mu < math.inf:  # fails on NaN
-        raise ValueError("mu must be nonnegative and finite")
+        raise ConfigError("mu must be nonnegative and finite")
 
 
 def check_cs_sizes(d: int, m: int, s: int) -> None:
     for name, value in (("sparsity s", s), ("measurement count m", m)):
         if not 1 <= value <= d:
-            raise ValueError(f"{name}={value} must be in [1, {d}]")
+            raise ConfigError(f"{name}={value} must be in [1, {d}]")
 
 
 def generate_cs_instance(
@@ -204,7 +205,7 @@ def generate_cs_instance(
 def finite_diff_grad(obj: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient, the verification oracle for analytic ones."""
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise ConfigError("h must be positive")
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
     for k in range(x.size):
@@ -221,7 +222,7 @@ class ToyStochasticObjective(Objective):
 
     def __init__(self, dimension: int, n_batches: int, seed: int = 0):
         if n_batches < 1:
-            raise ValueError("n_batches must be at least 1")
+            raise ConfigError("n_batches must be at least 1")
         self.dimension = dimension
         self.n_batches = n_batches
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

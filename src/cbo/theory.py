@@ -19,6 +19,7 @@ from .dynamics import (  # noqa: F401  (re-exported functionals)
     lyapunov_V,
     wasserstein2_to_dirac,
 )
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,9 @@ class AssumptionConstants:
         # every check fails on NaN
         for name in ("eta", "nu", "R0", "E_inf"):
             if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+                raise ConfigError(f"{name} must be positive and finite")
         if self.C_grad is not None and not 0 <= self.C_grad < math.inf:
-            raise ValueError("C_grad must be nonnegative and finite")
+            raise ConfigError("C_grad must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class BoundReport:
 def _grad_constant(params: CboParams, constants: AssumptionConstants) -> float:
     if params.lambda3 > 0 or params.sigma3 > 0:
         if constants.C_grad is None:
-            raise ValueError("C_grad required when lambda3 > 0 or sigma3 > 0")
+            raise ConfigError("C_grad required when lambda3 > 0 or sigma3 > 0")
         return constants.C_grad
     return constants.C_grad if constants.C_grad is not None else 0.0
 
@@ -111,9 +112,9 @@ def time_horizon_star(
     accuracy eps is guaranteed, with the lower end of the bracket when chi2
     is supplied."""
     if chi1 <= 0:
-        raise ValueError("no convergence guarantee: chi1 must be positive")
+        raise ConfigError("no convergence guarantee: chi1 must be positive")
     if not (0 <= vartheta < 1):
-        raise ValueError("vartheta must lie in [0, 1)")
+        raise ConfigError("vartheta must lie in [0, 1)")
     if not (0 < eps < V0):
         raise ValueError(f"need 0 < eps < V0, got eps={eps}, V0={V0}")
     t_star = math.log(V0 / eps) / ((1.0 - vartheta) * chi1)

@@ -79,6 +79,15 @@ class TestConfigResolution:
         cfg = resolve({"params": {"beta": "inf"}})
         assert math.isinf(cfg["params"]["beta"])
 
+    def test_number_strings(self):
+        # YAML leaves a number without a dot, such as 1e-4, a string
+        assert resolve({"theory": {"eps": "1e-4"}})["theory"]["eps"] == 1e-4
+        with pytest.raises(ConfigError, match="theory.eps"):
+            resolve({"theory": {"eps": "1e-4 or less"}})
+
+    def test_null_value_is_absent(self):
+        assert resolve({"params": {"dt": None}})["params"]["dt"] == 0.01
+
     def test_yaml_round_trip(self):
         cfg = resolve({"params": {"lambda2": 2.0, "beta": "inf"}, "init": {"low": -math.inf}})
         again = resolve(yaml.safe_load(cfg.to_yaml()))
@@ -207,6 +216,12 @@ SMALL_SPHERE = {
 SMALL_RASTRIGIN = {**SMALL_SPHERE, "objective": {"kind": "rastrigin", "dimension": 2}}
 
 
+# a sweep of one cell, one trial of a single step
+RASTRIGIN_CELL = {
+    **SMALL_RASTRIGIN, "experiment": {"n_particles": 5, "horizon_T": 0.1, "trials": 1},
+}
+
+
 def setting(section, key, value, base=SMALL_SPHERE):
     """``base`` with ``section.key`` set to ``value``."""
     return {**base, section: {**base.get(section, {}), key: value}}
@@ -261,6 +276,23 @@ NONFINITE = [
         # an empty grid is not an absent one
         ("sweep-rastrigin", setting("sweep", "x_grid", [], SMALL_RASTRIGIN)),
         ("sweep-cs", setting("sweep", "y_grid", [], SMALL_CS)),
+        # checks that run inside a harness or theory call
+        ("sweep-rastrigin", setting("success", "kind", "exact_sparse_recovery", RASTRIGIN_CELL)),
+        ("decay", setting("params", "sigma1", 2.0)),
+        ("decay", setting("params", "lambda3", 0.5)),
+        ("check-bounds", setting("params", "lambda3", 0.5)),
+        ("sweep-rastrigin", {**RASTRIGIN_CELL, "params": {"dt": 0.1, "sigma1": 2.0},
+                             "sweep": {"sigma2_coupling": "lambda2_sigma1",
+                                       "x_grid": [1.0e308], "y_grid": [5]}}),
+        ("sweep-rastrigin", {**RASTRIGIN_CELL, "params": {"dt": 0.1, "sigma1": 2.0},
+                             "sweep": {"sigma2_coupling": "lambda2_sigma1",
+                                       "x_grid": [0.0, 1.0e308], "y_grid": [5]}}),
+        # grid values are typed like scalar settings
+        ("sweep-rastrigin", setting("sweep", "y_grid", [5.5], RASTRIGIN_CELL)),
+        ("sweep-rastrigin", setting("sweep", "y_grid", [True], RASTRIGIN_CELL)),
+        ("sweep-rastrigin", setting("sweep", "y_grid", [None], RASTRIGIN_CELL)),
+        ("check-bounds", setting("theory", "R0", 0.05)),
+        ("run", setting("experiment", "seed", -1)),
         *((command, payload) for command, payload, _ in NONFINITE),
     ],
     ids=["cs.m=0", "cs.s=0", "cs.m>cs.d", "rastrigin-y_grid=0", "cs-y_grid=0",
@@ -268,6 +300,10 @@ NONFINITE = [
          "sigma2_coupling=other", "theory.vartheta=1.5", "theory.cases=0", "theory.eps=0",
          "run-alpha-doubling-overflows", "sweep-alpha-doubling-overflows",
          "sphere-sweep-cs.mu=-1", "rastrigin-x_grid=[]", "cs-y_grid=[]",
+         "rastrigin-exact_sparse_recovery", "decay-chi1<=0", "decay-no-C_grad",
+         "check-bounds-no-C_grad", "sigma2=inf", "second-cell-sigma2=inf",
+         "y_grid=[5.5]", "y_grid=[true]", "y_grid=[null]", "theory.R0=0.05",
+         "experiment.seed=-1",
          *(name for _, _, name in NONFINITE)],
 )
 def test_out_of_range_settings_are_config_errors(tmp_path, caplog, command, payload):
@@ -475,6 +511,17 @@ class TestTheoryCommands:
             },
         )
         assert main(["gradcheck", "--config", strict]) == EXIT_RUNTIME
+
+    def test_gradcheck_nan_error_fails(self, tmp_path):
+        """With h = 1e300, x +- h overflows and every finite difference is
+        NaN; a NaN error fails the check instead of dropping out of the
+        maximum."""
+        out = tmp_path / "gradcheck.json"
+        path = write_config(tmp_path, {"gradcheck": {"points": 3, "h": 1.0e300}})
+        assert main(["gradcheck", "--config", path, "--out", str(out)]) == EXIT_RUNTIME
+        payload = json.loads(out.read_text())
+        assert math.isnan(payload["max_rel_error"])
+        assert payload["passed"] is False
 
 
 class TestBundledConfigs:

@@ -10,6 +10,7 @@ import pytest
 from cbo.dynamics import (
     CboParams, DivergedError, InitSpec, Schedule, init_ensemble, lyapunov_V, run, step,
 )
+from cbo.errors import ConfigError
 from cbo.harness import (
     CsSpec,
     ExperimentConfig,
@@ -410,6 +411,16 @@ class TestPhaseDiagrams:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             rastrigin_phase_diagram([], [5], sphere_config())
+
+    def test_every_cell_checked_before_the_first_runs(self, monkeypatch):
+        """The second cell's sigma2 = lambda2 * sigma1 overflows to inf: the
+        sweep fails before it runs any cell."""
+        calls = []
+        monkeypatch.setattr(cbo.harness, "run_trials", lambda config: calls.append(config))
+        base = sphere_config(params=CboParams(sigma1=2.0))
+        with pytest.raises(ConfigError, match="sigma2"):
+            rastrigin_phase_diagram([0.0, 1.0e308], [5], base, sigma2_coupling="lambda2_sigma1")
+        assert calls == []
 
 
 class TestDecayExperiment:
