@@ -109,6 +109,11 @@ def _theory(cfg: ResolvedConfig) -> dict:
 def _cmd_decay(cfg: ResolvedConfig, args) -> tuple[str, int]:
     exp = cfg.build_experiment()
     theory = _theory(cfg)
+    # the decay run has constant parameters and a full consensus
+    if exp.schedule.alpha_rule != "constant" or exp.schedule.sigma_rule != "constant":
+        raise ConfigError("decay runs no schedule: alpha_rule and sigma_rule must be constant")
+    if exp.n_consensus is not None:
+        raise ConfigError("decay uses a full consensus: experiment.n_consensus must be unset")
     problem = exp.objective_factory(RngStream(exp.seed))
     report = harness.decay_experiment(
         problem.objective, problem.x_star, exp.params, cfg.build_constants(),
@@ -175,7 +180,7 @@ def _cmd_gradcheck(cfg: ResolvedConfig, args) -> tuple[str, int]:
     errors = []
     for _ in range(gc["points"]):
         x = gen.uniform(-2, 2, size=obj.dimension)
-        analytic = obj.grad(x)
+        analytic = obj.gradients(x[None])[0]
         numeric = finite_diff_grad(obj, x, gc["h"])
         scale = max(np.linalg.norm(numeric), 1e-12)
         errors.append(float(np.linalg.norm(analytic - numeric)) / scale)

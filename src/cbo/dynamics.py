@@ -7,7 +7,7 @@ import ctypes
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -194,48 +194,6 @@ class RunResult:
     ensemble: Ensemble
     consensus: np.ndarray
     n_steps: int
-
-
-class LyapunovValue(NamedTuple):
-    """The Lyapunov functional of an empirical ensemble, one value per trial."""
-
-    total: float | np.ndarray
-    position_part: float | np.ndarray  # (1/2N) sum ||X_i - x*||^2
-    memory_part: float | np.ndarray  # (1/2N) sum ||Y_i - X_i||^2
-
-
-def _mean_sq(diff: np.ndarray) -> np.ndarray:
-    """Mean over the particle axis of the squared norms of (..., N, d) rows.
-
-    The sum over N divided by N is the arithmetic ``ndarray.mean`` does,
-    bit for bit, without its Python-level dispatch."""
-    return np.einsum("...ij,...ij->...i", diff, diff).sum(axis=-1) / diff.shape[-2]
-
-
-def lyapunov_V(ens: Ensemble, x_star: np.ndarray) -> LyapunovValue:
-    x_star = np.asarray(x_star, dtype=float)
-    # one difference buffer serves both parts
-    diff = ens.positions - x_star
-    xp = 0.5 * _mean_sq(diff)
-    yp = 0.5 * _mean_sq(np.subtract(ens.memories, ens.positions, out=diff))
-    return LyapunovValue(xp + yp, xp, yp)
-
-
-def wasserstein2_to_dirac(
-    ens: Ensemble, x_star: np.ndarray, lyapunov: LyapunovValue | None = None
-) -> float | np.ndarray:
-    """Squared Wasserstein-2 distance of the empirical pair measure to the
-    Dirac at (x*, x*), one value per trial.
-
-    Its position term is twice the position part of V; passing the
-    ensemble's ``lyapunov_V`` reuses it, with the same result, since doubling
-    is exact."""
-    x_star = np.asarray(x_star, dtype=float)
-    if lyapunov is None:
-        sq_x = _mean_sq(ens.positions - x_star)
-    else:
-        sq_x = 2.0 * lyapunov.position_part
-    return sq_x + _mean_sq(ens.memories - x_star)
 
 
 def consensus_point(points, energies, alpha, subset=None) -> np.ndarray:
@@ -499,7 +457,7 @@ def run(
 
     ``observe``, if given, is called with the ensemble at the initial state
     and after every step, and computes and keeps whatever it reads, such as
-    ``lyapunov_V``; it must not change the ensemble."""
+    :func:`cbo.theory.lyapunov_V`; it must not change the ensemble."""
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     ens = initial

@@ -13,22 +13,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    CboParams,
-    Ensemble,
-    InitSpec,
-    Schedule,
-    init_ensemble,
-    lyapunov_V,
-    run,
-)
+from .dynamics import CboParams, Ensemble, InitSpec, Schedule, init_ensemble, run
 from .errors import ConfigError, DivergedError
 from .objectives import (
     CsObjective, Objective, check_cs_regularizer, check_cs_sizes, generate_cs_instance,
 )
 from .rng import RngStream
 from .theory import (
-    AssumptionConstants, DecayFit, chi_rates, fit_exponential_rate, time_horizon_star,
+    AssumptionConstants, DecayFit, chi_rates, fit_exponential_rate, lyapunov_V,
+    time_horizon_star,
 )
 
 
@@ -308,9 +301,11 @@ def rastrigin_phase_diagram(
 
     sigma2_coupling picks the memory-noise convention: "zero" (no memory
     noise), "lambda2_sigma1" (sigma2 = lambda2 * sigma1) or "lambda1_sigma1"
-    (sigma2 = lambda1 * sigma1)."""
+    (sigma2 = lambda1 * sigma1); the base parameters' sigma2 must be 0."""
     if sigma2_coupling not in ("zero", "lambda2_sigma1", "lambda1_sigma1"):
         raise ConfigError(f"unknown sigma2 coupling {sigma2_coupling!r}")
+    if base_config.params.sigma2 != 0.0:
+        raise ConfigError("the sigma2 coupling sets sigma2 in every cell: params.sigma2 must be 0")
 
     def cell(lambda2, n):
         base = base_config.params

@@ -63,14 +63,8 @@ class Objective:
         the same points and batch may reuse; None when there is none."""
         return self.values(points, batch), None
 
-    def __call__(self, x: np.ndarray, batch: int | None = None) -> float:
-        return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)), batch)[0])
-
     def gradients(self, points: np.ndarray, batch: int | np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} provides no gradient")
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.gradients(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
 class Sphere(Objective):
@@ -211,7 +205,11 @@ def finite_diff_grad(obj: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarr
     for k in range(x.size):
         e = np.zeros_like(x)
         e[k] = h
-        g[k] = (obj(x + e) - obj(x - e)) / (2.0 * h)
+        # one point per call, since a multi-row matrix product may round
+        # differently; Python floats, whose inf - inf is a silent NaN
+        up = float(obj.values(np.atleast_2d(x + e))[0])
+        down = float(obj.values(np.atleast_2d(x - e))[0])
+        g[k] = (up - down) / (2.0 * h)
     return g
 
 

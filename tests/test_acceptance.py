@@ -126,7 +126,7 @@ def recorded_run(ens, params, obj, steps, rng, x_star):
         v = lyapunov_V(e, x_star)
         tracks["time"].append(e.step_index * params.dt)
         tracks["lyapunov"].append(v.total)
-        tracks["w2_to_dirac"].append(wasserstein2_to_dirac(e, x_star, v))
+        tracks["w2_to_dirac"].append(wasserstein2_to_dirac(e, x_star))
 
     result = run(ens, params, Schedule(), obj, steps, rng, observe=observe)
     return result, x_star, {key: np.asarray(val) for key, val in tracks.items()}
@@ -306,14 +306,14 @@ def test_analytic_gradients_match_finite_differences():
     obj = Rastrigin(5)
     for _ in range(100):
         x = gen.uniform(-4, 4, 5)
-        worst = max(worst, rel_err(obj.grad(x), finite_diff_grad(obj, x)))
+        worst = max(worst, rel_err(obj.gradients(x[None])[0], finite_diff_grad(obj, x)))
 
     for p in (1.0, 0.5):
         obj, _ = generate_cs_instance(10, 6, 2, 0.4, p, RngStream(int(p * 10)))
         for _ in range(100):
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1  # keep clear of the non-smooth set
-            worst = max(worst, rel_err(obj.grad(x), finite_diff_grad(obj, x)))
+            worst = max(worst, rel_err(obj.gradients(x[None])[0], finite_diff_grad(obj, x)))
 
     passed = worst < 1e-5
     report(

@@ -220,6 +220,8 @@ SMALL_RASTRIGIN = {**SMALL_SPHERE, "objective": {"kind": "rastrigin", "dimension
 RASTRIGIN_CELL = {
     **SMALL_RASTRIGIN, "experiment": {"n_particles": 5, "horizon_T": 0.1, "trials": 1},
 }
+# the bundled decay run, shortened
+DECAY_SHORT = {**DECAY, "experiment": {**DECAY["experiment"], "horizon_T": 0.5}}
 
 
 def setting(section, key, value, base=SMALL_SPHERE):
@@ -293,6 +295,11 @@ NONFINITE = [
         ("sweep-rastrigin", setting("sweep", "y_grid", [None], RASTRIGIN_CELL)),
         ("check-bounds", setting("theory", "R0", 0.05)),
         ("run", setting("experiment", "seed", -1)),
+        # settings a command would ignore
+        ("decay", setting("schedule", "alpha_rule", "double_per_epoch", DECAY_SHORT)),
+        ("decay", setting("schedule", "sigma_rule", "log2_cooling", DECAY_SHORT)),
+        ("decay", setting("experiment", "n_consensus", 5, DECAY_SHORT)),
+        ("sweep-rastrigin", setting("params", "sigma2", 3.0, RASTRIGIN_CELL)),
         *((command, payload) for command, payload, _ in NONFINITE),
     ],
     ids=["cs.m=0", "cs.s=0", "cs.m>cs.d", "rastrigin-y_grid=0", "cs-y_grid=0",
@@ -303,13 +310,15 @@ NONFINITE = [
          "rastrigin-exact_sparse_recovery", "decay-chi1<=0", "decay-no-C_grad",
          "check-bounds-no-C_grad", "sigma2=inf", "second-cell-sigma2=inf",
          "y_grid=[5.5]", "y_grid=[true]", "y_grid=[null]", "theory.R0=0.05",
-         "experiment.seed=-1",
+         "experiment.seed=-1", "decay-schedule", "decay-sigma_rule", "decay-n_consensus",
+         "sweep-rastrigin-params.sigma2",
          *(name for _, _, name in NONFINITE)],
 )
 def test_out_of_range_settings_are_config_errors(tmp_path, caplog, command, payload):
     """Out-of-range sizes, regularizer, sweep grids, grid values and coupling,
-    theory and gradcheck settings, and non-finite settings exit 1 before
-    anything runs, and no result file is written."""
+    theory and gradcheck settings, non-finite settings and settings the
+    command would ignore exit 1 before anything runs, and no result file is
+    written."""
     out = tmp_path / "result.txt"
     code = main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
     assert code == EXIT_CONFIG

@@ -7,9 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbo.dynamics import (
-    CboParams, DivergedError, InitSpec, Schedule, init_ensemble, lyapunov_V, run, step,
-)
+from cbo.dynamics import CboParams, DivergedError, InitSpec, Schedule, init_ensemble, run, step
 from cbo.errors import ConfigError
 from cbo.harness import (
     CsSpec,
@@ -35,7 +33,7 @@ from cbo.objectives import (
     generate_cs_instance,
 )
 from cbo.rng import CHANNEL_INIT, RngStream
-from cbo.theory import AssumptionConstants
+from cbo.theory import AssumptionConstants, lyapunov_V
 from helpers import FunctionObjective
 
 SPHERE_CONSTANTS = AssumptionConstants(eta=1.0, nu=0.5, R0=1.0, E_inf=100.0, C_grad=2.0)
@@ -395,6 +393,11 @@ class TestPhaseDiagrams:
             assert [len(row) for row in d.cells] == [1]
         with pytest.raises(ValueError, match="coupling"):
             rastrigin_phase_diagram([0.5], [5], base, sigma2_coupling="other")
+        # every coupling sets sigma2 itself, so a base sigma2 would be ignored
+        noisy = replace(base, params=replace(base.params, sigma2=0.5))
+        for coupling in ("zero", "lambda2_sigma1", "lambda1_sigma1"):
+            with pytest.raises(ConfigError, match="sigma2"):
+                rastrigin_phase_diagram([0.5], [5], noisy, sigma2_coupling=coupling)
 
     def test_cs_sweep_smoke(self):
         base = sphere_config(

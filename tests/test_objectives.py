@@ -38,7 +38,7 @@ class TestRastrigin:
         for _ in range(100):
             x = gen.uniform(-4, 4, 5)
             fd = finite_diff_grad(obj, x)
-            g = obj.grad(x)
+            g = obj.gradients(x[None])[0]
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
 
     def test_vectorized_matches_scalar(self):
@@ -120,7 +120,7 @@ class TestCsEval:
 
 class TestCsGrad:
     def test_p1_sign_zero_convention(self):
-        g = CsObjective(np.eye(2), np.zeros(2), 1.0, 1.0).grad(np.array([0.0, 2.0]))
+        g = CsObjective(np.eye(2), np.zeros(2), 1.0, 1.0).gradients(np.array([[0.0, 2.0]]))[0]
         np.testing.assert_allclose(g, [0.0, 3.0])
 
     def test_p1_matches_finite_differences_away_from_zeros(self):
@@ -130,7 +130,7 @@ class TestCsGrad:
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1  # keep away from the kink
             np.testing.assert_allclose(
-                obj.grad(x), finite_diff_grad(obj, x), rtol=1e-5, atol=1e-6
+                obj.gradients(x[None])[0], finite_diff_grad(obj, x), rtol=1e-5, atol=1e-6
             )
 
     def test_p_half_matches_finite_differences(self):
@@ -140,14 +140,14 @@ class TestCsGrad:
             x = gen.standard_normal(10)
             x[np.abs(x) < 0.05] = 0.1
             np.testing.assert_allclose(
-                obj.grad(x),
+                obj.gradients(x[None])[0],
                 finite_diff_grad(obj, x, h=1e-7),
                 rtol=1e-5,
                 atol=1e-5,
             )
 
     def test_p_half_zero_stays_finite(self):
-        g = CsObjective(np.eye(2), np.zeros(2), 1.0, 0.5).grad(np.zeros(2))
+        g = CsObjective(np.eye(2), np.zeros(2), 1.0, 0.5).gradients(np.zeros((1, 2)))[0]
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(g, 0.0)
 
