@@ -88,6 +88,8 @@ def _cmd_sweep_rastrigin(cfg: ResolvedConfig, args) -> tuple[str, int]:
 
 def _cmd_sweep_cs(cfg: ResolvedConfig, args) -> tuple[str, int]:
     sweep = cfg["sweep"]
+    if sweep["sigma2_coupling"] != "zero":
+        raise ConfigError("sweep-cs couples no memory noise: sweep.sigma2_coupling must be zero")
     spec = cfg.build_cs_spec()
     diagram = harness.cs_phase_diagram(
         _grid(sweep, "x_grid", float, [0.0, 1.0]),

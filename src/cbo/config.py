@@ -1,6 +1,7 @@
 """Structured config files for the CLI: YAML key-value text with strict
-unknown-key rejection and documented defaults (the baseline run parameters
-dt=0.01, T=20, alpha=100, beta=inf, theta=0, kappa=1/dt, lambda1=1)."""
+unknown-key rejection.  A section that configures a settings dataclass takes
+its keys and defaults from that dataclass, so a config and the library share
+one baseline."""
 
 from __future__ import annotations
 
@@ -19,17 +20,16 @@ from .objectives import Rastrigin, Sphere, ToyStochasticObjective
 from .theory import AssumptionConstants
 
 # config types of the scalar dataclass field annotations
-_FIELD_TYPES = {"float": float, "int": int, "str": str, "int | None": int}
+_FIELD_TYPES = {
+    "float": float, "int": int, "str": str, "int | None": int, "float | None": float,
+}
 
 
-def _dataclass_section(cls, **config_defaults) -> dict:
+def _dataclass_section(cls) -> dict:
     """Keys, types and defaults of the section mirroring the scalar fields
-    of dataclass ``cls``; ``config_defaults`` are the defaults where the
-    config's differ or the field has none."""
+    of dataclass ``cls``."""
     return {
-        f.name: (_FIELD_TYPES[f.type], config_defaults.get(f.name, f.default))
-        for f in fields(cls)
-        if f.type in _FIELD_TYPES
+        f.name: (_FIELD_TYPES[f.type], f.default) for f in fields(cls) if f.type in _FIELD_TYPES
     }
 
 
@@ -40,12 +40,9 @@ _SCHEMA = {
         "dimension": (int, 4),
         "n_batches": (int, 1),
     },
-    # kappa None means 1/dt
-    "params": _dataclass_section(CboParams, kappa=None),
-    "schedule": _dataclass_section(Schedule, epoch_length=100),
-    "experiment": _dataclass_section(
-        ExperimentConfig, n_particles=100, horizon_T=20.0, trials=100, seed=0
-    ),
+    "params": _dataclass_section(CboParams),
+    "schedule": _dataclass_section(Schedule),
+    "experiment": _dataclass_section(ExperimentConfig),
     "init": _dataclass_section(InitSpec),
     "success": _dataclass_section(SuccessRule),
     "sweep": {
@@ -114,11 +111,7 @@ class ResolvedConfig:
     # ---- builders -------------------------------------------------
 
     def build_params(self) -> CboParams:
-        p = dict(self["params"])
-        if p["kappa"] is None:
-            # a dt of 0 is left for CboParams to reject
-            p["kappa"] = 1.0 / p["dt"] if p["dt"] else math.inf
-        return CboParams(**p)
+        return CboParams(**self["params"])
 
     def build_cs_spec(self) -> CsSpec:
         return CsSpec(**self["cs"])
@@ -137,6 +130,13 @@ class ResolvedConfig:
         spec = self["objective"]
         kind = spec["kind"]
         d = spec["dimension"]
+        if kind not in ("sphere", "rastrigin", "toy", "cs"):
+            raise ConfigError(f"objective.kind: unknown objective {kind!r}")
+        if kind != "toy" and spec["n_batches"] != 1:
+            raise ConfigError(
+                f"objective.n_batches is read only by kind toy: kind {kind} needs 1, "
+                f"got {spec['n_batches']}"
+            )
         if kind == "cs":
             return self.build_cs_spec()
         if d < 1:
@@ -145,10 +145,8 @@ class ResolvedConfig:
             obj = Sphere(d)
         elif kind == "rastrigin":
             obj = Rastrigin(d)
-        elif kind == "toy":
-            obj = ToyStochasticObjective(d, spec["n_batches"], seed=self["experiment"]["seed"])
         else:
-            raise ConfigError(f"objective.kind: unknown objective {kind!r}")
+            obj = ToyStochasticObjective(d, spec["n_batches"], seed=self["experiment"]["seed"])
         origin = np.zeros(d)
         return lambda rng: TrialProblem(obj, x_star=origin)
 

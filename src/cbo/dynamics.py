@@ -58,7 +58,9 @@ class CboParams:
 
     beta = inf together with theta = 0 and kappa = 1/dt selects the exact
     historical-best memory rule, which reuses the objective values of the
-    freshly moved particles and costs no extra evaluations.
+    freshly moved particles and costs no extra evaluations.  The defaults
+    are that baseline: kappa left unset is 1/dt.  It is resolved once, so
+    ``dataclasses.replace(params, dt=...)`` keeps the resolved kappa.
     """
 
     lambda1: float = 1.0
@@ -70,11 +72,14 @@ class CboParams:
     alpha: float = 100.0
     beta: float = math.inf
     theta: float = 0.0
-    kappa: float = 100.0
+    kappa: float | None = None
     dt: float = 0.01
     diffusion: str = "anisotropic"
 
     def __post_init__(self):
+        # kappa unset is 1/dt; a bad dt is left for the loop to refuse first
+        if self.kappa is None and 0 < self.dt < math.inf:
+            object.__setattr__(self, "kappa", 1.0 / self.dt)
         # every check fails on NaN; beta alone may be inf
         for name in ("dt", "alpha", "lambda1", "kappa"):
             value = getattr(self, name)
@@ -152,7 +157,7 @@ class Schedule:
 
     alpha_rule: str = "constant"
     sigma_rule: str = "constant"
-    epoch_length: int = 1
+    epoch_length: int = 100
 
     def __post_init__(self):
         if self.alpha_rule not in ("constant", "double_per_epoch"):

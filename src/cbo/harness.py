@@ -73,11 +73,11 @@ class ExperimentConfig:
 
     objective_factory: Callable[[RngStream], TrialProblem]
     params: CboParams
-    n_particles: int
-    horizon_T: float
-    trials: int
-    seed: int
-    success: SuccessRule
+    n_particles: int = 100
+    horizon_T: float = 20.0
+    trials: int = 100
+    seed: int = 0
+    success: SuccessRule = SuccessRule()
     schedule: Schedule = Schedule()
     init: InitSpec = InitSpec()
     n_consensus: int | None = None

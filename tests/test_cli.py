@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,9 +14,9 @@ import numpy as np
 
 from cbo import harness
 from cbo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parser, main
-from cbo.config import ConfigError, load_config, resolve
+from cbo.config import _SCHEMA, ConfigError, load_config, resolve
 from cbo.dynamics import CboParams, InitSpec, Schedule
-from cbo.harness import SuccessRule
+from cbo.harness import CsSpec, ExperimentConfig, SuccessRule
 from cbo.objectives import Rastrigin, Sphere
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -38,6 +39,23 @@ def quick_run_config(tmp_path, **extra):
     return write_config(tmp_path, payload)
 
 
+def _experiment_defaults(cfg):
+    built = cfg.build_experiment()
+    # the trial factory comes from the objective section and has no default
+    return built, ExperimentConfig(built.objective_factory, CboParams())
+
+
+# section -> the object resolve({}) builds from it and the dataclass default
+SECTION_DEFAULTS = {
+    "params": lambda cfg: (cfg.build_params(), CboParams()),
+    "schedule": lambda cfg: (cfg.build_experiment().schedule, Schedule()),
+    "init": lambda cfg: (cfg.build_experiment().init, InitSpec()),
+    "success": lambda cfg: (cfg.build_experiment().success, SuccessRule()),
+    "cs": lambda cfg: (cfg.build_cs_spec(), CsSpec()),
+    "experiment": _experiment_defaults,
+}
+
+
 class TestConfigResolution:
     def test_defaults(self):
         cfg = resolve({})
@@ -46,15 +64,19 @@ class TestConfigResolution:
         assert math.isinf(cfg["params"]["beta"])
         assert cfg["params"]["theta"] == 0.0
         assert cfg["experiment"]["horizon_T"] == 20.0
-        # kappa defaults to 1/dt at build time
-        assert cfg.build_params().kappa == pytest.approx(100.0)
 
-    def test_build_experiment_defaults(self):
-        exp = resolve({}).build_experiment()
-        assert exp.params == CboParams()
-        assert exp.init == InitSpec()
-        assert exp.success == SuccessRule()
-        assert exp.schedule == Schedule(epoch_length=100)
+    @pytest.mark.parametrize("section", sorted(SECTION_DEFAULTS))
+    def test_section_builds_the_library_default(self, section):
+        """A dataclass-backed section left empty builds the dataclass's own
+        default: the config supplies no default of its own."""
+        built, default = SECTION_DEFAULTS[section](resolve({}))
+        assert built == default
+        assert dataclasses.MISSING not in [d for _, d in _SCHEMA[section].values()]
+
+    def test_unset_kappa_is_the_library_one(self):
+        built = resolve({"params": {"dt": 0.001}}).build_params()
+        assert built == CboParams(dt=0.001)
+        assert built.uses_exact_memory and CboParams(dt=0.001).uses_exact_memory
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown config section"):
@@ -222,6 +244,13 @@ RASTRIGIN_CELL = {
 }
 # the bundled decay run, shortened
 DECAY_SHORT = {**DECAY, "experiment": {**DECAY["experiment"], "horizon_T": 0.5}}
+# the bundled cs sweep, reduced to one cell of two short trials
+CS_SWEEP = yaml.safe_load((CONFIG_DIR / "cs_sweep.yaml").read_text())
+CS_SWEEP_CELL = {
+    **CS_SWEEP,
+    "experiment": {**CS_SWEEP["experiment"], "horizon_T": 0.1, "trials": 2},
+    "sweep": {"x_grid": [0.0], "y_grid": [10]},
+}
 
 
 def setting(section, key, value, base=SMALL_SPHERE):
@@ -300,6 +329,11 @@ NONFINITE = [
         ("decay", setting("schedule", "sigma_rule", "log2_cooling", DECAY_SHORT)),
         ("decay", setting("experiment", "n_consensus", 5, DECAY_SHORT)),
         ("sweep-rastrigin", setting("params", "sigma2", 3.0, RASTRIGIN_CELL)),
+        ("sweep-cs", setting("params", "sigma1", 0.5,
+                             setting("sweep", "sigma2_coupling", "lambda1_sigma1", CS_SWEEP_CELL))),
+        ("run", setting("objective", "n_batches", 8)),
+        ("run", setting("objective", "n_batches", 8, SMALL_RASTRIGIN)),
+        ("sweep-cs", setting("objective", "n_batches", 8, CS_SWEEP_CELL)),
         *((command, payload) for command, payload, _ in NONFINITE),
     ],
     ids=["cs.m=0", "cs.s=0", "cs.m>cs.d", "rastrigin-y_grid=0", "cs-y_grid=0",
@@ -311,7 +345,8 @@ NONFINITE = [
          "check-bounds-no-C_grad", "sigma2=inf", "second-cell-sigma2=inf",
          "y_grid=[5.5]", "y_grid=[true]", "y_grid=[null]", "theory.R0=0.05",
          "experiment.seed=-1", "decay-schedule", "decay-sigma_rule", "decay-n_consensus",
-         "sweep-rastrigin-params.sigma2",
+         "sweep-rastrigin-params.sigma2", "sweep-cs-sigma2_coupling", "sphere-n_batches=8",
+         "rastrigin-n_batches=8", "cs-n_batches=8",
          *(name for _, _, name in NONFINITE)],
 )
 def test_out_of_range_settings_are_config_errors(tmp_path, caplog, command, payload):

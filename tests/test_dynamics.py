@@ -670,3 +670,12 @@ class TestParams:
         assert not CboParams(dt=0.01, kappa=50.0).uses_exact_memory
         assert not CboParams(dt=0.01, kappa=100.0, theta=0.5).uses_exact_memory
         assert not CboParams(dt=0.01, kappa=100.0, beta=10.0).uses_exact_memory
+
+    def test_unset_kappa_is_one_over_dt(self):
+        params = CboParams(dt=0.001)
+        assert params.kappa == 1000.0
+        # resolved once: a new dt keeps it
+        assert replace(params, dt=0.01).kappa == 1000.0
+        # a dt so small that 1/dt overflows
+        with pytest.raises(ValueError, match="kappa=inf"):
+            CboParams(dt=1e-320)
