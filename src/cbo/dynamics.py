@@ -167,6 +167,14 @@ class Schedule:
         if self.epoch_length <= 0:
             raise ConfigError("epoch_length must be positive")
 
+    def sigma_scale(self, step_index: int) -> float:
+        """The factor the schedule applies to every sigma at step
+        ``step_index``, non-increasing in it."""
+        epoch = step_index // self.epoch_length
+        if epoch == 0 or self.sigma_rule == "constant":
+            return 1.0
+        return 1.0 / math.log2(epoch + 2)
+
     def params_at(self, base: CboParams, step_index: int) -> CboParams:
         """The parameters of step ``step_index``.  Raises ConfigError when
         alpha doubling leaves the floats there: an infinite alpha would turn
@@ -184,7 +192,7 @@ class Schedule:
                 ) from None
             out = replace(out, alpha=alpha)
         if self.sigma_rule == "log2_cooling":
-            scale = 1.0 / math.log2(epoch + 2)
+            scale = self.sigma_scale(step_index)
             out = replace(
                 out,
                 sigma1=base.sigma1 * scale,
@@ -440,6 +448,16 @@ def init_ensemble(
     return Ensemble(x, x.copy(), energies)
 
 
+def _noise_channels(params: CboParams, schedule: Schedule, last_step: int) -> tuple[int, ...]:
+    """The Gaussian channels that ``step`` draws on every step up to
+    ``last_step``: those whose sigma the schedule keeps nonzero at its
+    smallest, at ``last_step``."""
+    scale = schedule.sigma_scale(last_step)
+    sigmas = {CHANNEL_CONSENSUS: params.sigma1, CHANNEL_MEMORY: params.sigma2,
+              CHANNEL_GRADIENT: params.sigma3}
+    return tuple(c for c, sigma in sigmas.items() if sigma * scale != 0.0)
+
+
 def run(
     initial: Ensemble,
     params: CboParams,
@@ -462,7 +480,11 @@ def run(
 
     ``observe``, if given, is called with the ensemble at the initial state
     and after every step, and computes and keeps whatever it reads, such as
-    :func:`cbo.theory.lyapunov_V`; it must not change the ensemble."""
+    :func:`cbo.theory.lyapunov_V`; it must not change the ensemble.
+
+    The noise the run's steps draw is drawn ahead through
+    :meth:`RngStream.producing`, so every number and every generator's
+    state after the run are as if drawn in order."""
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     ens = initial
@@ -472,16 +494,18 @@ def run(
     step_params = schedule.params_at(params, ens.step_index)
     start = ens.step_index
     batched = objective.n_batches > 1
-    for _ in range(max_steps):
-        if not ens.active.any():
-            break
-        step_params = schedule.params_at(params, ens.step_index)
-        batch = None
-        if batched:
-            batch = rng.draw(CHANNEL_BATCH, lambda gen: gen.integers(objective.n_batches))
-        step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
-        if observe is not None:
-            observe(ens)
+    noise = _noise_channels(params, schedule, start + max_steps - 1) if max_steps else ()
+    with rng.producing(noise, ens.n, ens.d, max_steps):
+        for _ in range(max_steps):
+            if not ens.active.any():
+                break
+            step_params = schedule.params_at(params, ens.step_index)
+            batch = None
+            if batched:
+                batch = rng.draw(CHANNEL_BATCH, lambda gen: gen.integers(objective.n_batches))
+            step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
+            if observe is not None:
+                observe(ens)
 
     consensus = np.full(ens.batch_shape + (ens.d,), np.nan)
     if ens.active.any():

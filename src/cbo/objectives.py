@@ -81,7 +81,13 @@ class Rastrigin(Objective):
     """E(x) = sum x_k^2 + 5/2 (1 - cos(2 pi x_k)), global minimum 0 at 0."""
 
     def values(self, points, batch=None):
-        return np.sum(points**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * points)), axis=-1)
+        # in place, in the order of x**2 + 2.5 * (1 - cos(2 pi x)): bit-identical
+        out = np.multiply(2.0 * np.pi, points)
+        np.cos(out, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= 2.5
+        out += np.square(points)
+        return out.sum(axis=-1)
 
     def gradients(self, points, batch=None):
         return 2.0 * points + 5.0 * np.pi * np.sin(2.0 * np.pi * points)

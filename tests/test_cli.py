@@ -12,6 +12,7 @@ import yaml
 
 import numpy as np
 
+import cbo.rng
 from cbo import harness
 from cbo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parser, main
 from cbo.config import _SCHEMA, ConfigError, load_config, resolve
@@ -582,6 +583,36 @@ class TestBundledConfigs:
         code = main(["run", "--config", str(CONFIG_DIR / "sphere_run.yaml"), "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["distance_to_minimizer"] < 1e-6
+
+
+def _rastrigin_sweep_2x2(tmp_path):
+    """configs/rastrigin_sweep.yaml on a 2 x 2 grid, 4 trials of 200 steps."""
+    payload = yaml.safe_load((CONFIG_DIR / "rastrigin_sweep.yaml").read_text())
+    payload["experiment"].update(trials=4, horizon_T=2.0)
+    payload["sweep"].update(x_grid=[0.0, 2.0], y_grid=[10, 100])
+    return write_config(tmp_path, payload)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("run", lambda tmp_path: str(CONFIG_DIR / "sphere_run.yaml")),
+        ("decay", lambda tmp_path: str(CONFIG_DIR / "decay.yaml")),
+        ("sweep-rastrigin", _rastrigin_sweep_2x2),
+    ],
+    ids=["run", "decay", "sweep-rastrigin"],
+)
+def test_noise_drawn_in_a_child_writes_the_same_files(tmp_path, monkeypatch, command, config):
+    """Each command writes the same bytes whether its runs draw their noise
+    in a forked child (threshold 0) or in order here (threshold inf)."""
+    path = config(tmp_path)
+    files = []
+    for threshold in (0, math.inf):
+        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", threshold)
+        out = tmp_path / f"out_{threshold}"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
 
 
 class TestReadme:

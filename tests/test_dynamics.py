@@ -1,6 +1,12 @@
 import copy
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cbo.dynamics
+import cbo.rng
+from cbo.config import load_config
 from cbo.dynamics import (
     CboParams,
     DivergedError,
@@ -29,8 +37,10 @@ from cbo.objectives import (
     ToyStochasticObjective,
     generate_cs_instance,
 )
-from cbo.rng import RngStream
+from cbo.rng import CHANNEL_CONSENSUS, CHANNEL_INIT, RngStream
 from helpers import FunctionObjective
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def brute_force_consensus(points, energies, alpha):
@@ -679,3 +689,282 @@ class TestParams:
         # a dt so small that 1/dt overflows
         with pytest.raises(ValueError, match="kappa=inf"):
             CboParams(dt=1e-320)
+
+
+def _decay_yaml_case(seed, m, steps):
+    """configs/decay.yaml's settings on one trajectory: two noise channels,
+    smoothed memory."""
+    exp = load_config(str(ROOT / "configs" / "decay.yaml")).build_experiment()
+    obj = exp.objective_factory(RngStream(exp.seed)).objective
+    rng = RngStream(seed)
+    ens = init_ensemble(30, obj.dimension, exp.init, rng, obj)
+    return rng, lambda: run(ens, exp.params, exp.schedule, obj, steps, rng)
+
+
+def _exact_memory_case(seed, m, steps):
+    obj = Rastrigin(3)
+    params = CboParams(lambda1=1.0, sigma1=1.2, alpha=100.0, dt=0.01)
+    rng = RngStream(seed, range(m))
+    ens = init_ensemble(20, 3, InitSpec(mean=1.5), rng, obj)
+    return rng, lambda: run(ens, params, Schedule(), obj, steps, rng)
+
+
+def _gradient_noise_case(seed, m, steps):
+    objs = [generate_cs_instance(8, 5, 2, 0.01, 1.0, RngStream(seed, t))[0] for t in range(m)]
+    obj = CsObjective.stack(objs)
+    params = CboParams(lambda1=1.0, lambda3=0.5, sigma1=0.2, sigma3=0.3, alpha=100.0, dt=0.01)
+    rng = RngStream(seed, range(m))
+    ens = init_ensemble(15, 8, InitSpec(), rng, obj)
+    return rng, lambda: run(ens, params, Schedule(), obj, steps, rng)
+
+
+def _minibatch_case(seed, m, steps):
+    obj = ToyStochasticObjective(2, 4)
+    params = CboParams(lambda1=1.0, sigma1=0.5, alpha=50.0, dt=0.05)
+    rng = RngStream(seed, range(m))
+    ens = init_ensemble(20, 2, InitSpec(), rng, obj)
+    return rng, lambda: run(ens, params, Schedule(), obj, steps, rng)
+
+
+def _subset_case(seed, m, steps):
+    obj = Sphere(2)
+    params = CboParams(lambda1=1.0, lambda2=0.5, sigma1=0.5, sigma2=0.2, alpha=50.0, dt=0.05)
+    rng = RngStream(seed, range(m))
+    ens = init_ensemble(20, 2, InitSpec(), rng, obj)
+    return rng, lambda: run(ens, params, Schedule(), obj, steps, rng, n_consensus=5)
+
+
+def _all_diverge_case(seed, m, steps):
+    obj = box_objective(2, 1.0)
+    params = CboParams(lambda1=1.0, sigma1=20.0, alpha=30.0, dt=0.05)
+    rng = RngStream(seed, range(m))
+    ens = init_ensemble(20, 2, InitSpec("uniform", low=-0.5, high=0.5), rng, obj)
+    return rng, lambda: run(ens, params, Schedule(), obj, steps, rng)
+
+
+PRODUCER_CASES = {
+    "decay-yaml": _decay_yaml_case,
+    "batched-exact-memory": _exact_memory_case,
+    "cs-gradient-noise": _gradient_noise_case,
+    "toy-minibatch": _minibatch_case,
+    "consensus-subsets": _subset_case,
+    "all-diverge": _all_diverge_case,
+}
+
+
+def _generator_states(rng):
+    return {c: [g.bit_generator.state for g in gens] for c, gens in rng._generators.items()}
+
+
+def _outcome(rng, result):
+    ens = result.ensemble
+    arrays = (ens.positions, ens.memories, ens.memory_energies, ens.diverged_at, result.consensus)
+    return [a.tobytes() for a in arrays], result.n_steps, _generator_states(rng)
+
+
+def _run_with_threshold(threshold, make, *args):
+    """``make(*args)``'s run with the producer's threshold at ``threshold``:
+    its outcome or the exception it raised, the generator states, and the
+    number of producers it started."""
+    started = []
+
+    class Counted(cbo.rng._Producer):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            started.append(self.pid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", threshold)
+        mp.setattr(cbo.rng, "_Producer", Counted)
+        rng, go = make(*args)
+        try:
+            out = _outcome(rng, go())
+        except Exception as err:  # compared with the serial run's
+            out = (type(err), str(err), _generator_states(rng))
+    return out, len(started)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+TWO_CPUS = sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
+
+
+class TestNoiseProducer:
+    """A run's noise drawn ahead in a forked child equals drawing it in
+    order: the same final state, and every generator left where serial
+    drawing leaves it."""
+
+    @pytest.mark.parametrize("case", sorted(PRODUCER_CASES))
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), steps=st.integers(1, 60))
+    def test_equals_serial_draws(self, case, seed, m, steps):
+        serial, none = _run_with_threshold(math.inf, PRODUCER_CASES[case], seed, m, steps)
+        produced, forks = _run_with_threshold(0, PRODUCER_CASES[case], seed, m, steps)
+        assert produced == serial
+        assert none == 0
+        assert forks == (1 if TWO_CPUS else 0)
+        _assert_no_child()
+
+    def test_all_trials_diverge_before_the_quota(self):
+        serial, _ = _run_with_threshold(math.inf, _all_diverge_case, 3, 4, 400)
+        produced, _ = _run_with_threshold(0, _all_diverge_case, 3, 4, 400)
+        assert produced == serial
+        assert serial[1] < 400
+        _assert_no_child()
+
+    def test_channel_cooled_to_zero_stays_serial(self, monkeypatch):
+        """log2 cooling takes a subnormal sigma1 to 0 from epoch 2 on, so only
+        the memory noise is drawn on every step, and only it is produced."""
+        monkeypatch.setattr(cbo.rng, "RING_BYTES", 0)  # two slots
+        params = CboParams(lambda1=1.0, lambda2=0.5, sigma1=5e-324, sigma2=0.3, dt=0.05)
+        sched = Schedule(sigma_rule="log2_cooling", epoch_length=2)
+        assert sched.params_at(params, 3).sigma1 > 0.0 == sched.params_at(params, 4).sigma1
+
+        def make(seed, m, steps):
+            obj = Sphere(2)
+            rng = RngStream(seed, range(m))
+            ens = init_ensemble(10, 2, InitSpec(), rng, obj)
+            return rng, lambda: run(ens, params, sched, obj, steps, rng)
+
+        serial, _ = _run_with_threshold(math.inf, make, 1, 3, 30)
+        produced, forks = _run_with_threshold(0, make, 1, 3, 30)
+        assert produced == serial
+        assert forks == (1 if TWO_CPUS else 0)
+
+    def test_objective_error_leaves_serial_states(self):
+        class Failing(Sphere):
+            calls = 0
+
+            def values(self, points, batch=None):
+                self.calls += 1
+                if self.calls > 12:
+                    raise ZeroDivisionError("objective failed")
+                return super().values(points, batch)
+
+        def make(seed, m, steps):
+            obj = Failing(2)
+            params = CboParams(lambda1=1.0, sigma1=0.5, sigma2=0.3, lambda2=0.5, alpha=50.0)
+            rng = RngStream(seed, range(m))
+            ens = init_ensemble(10, 2, InitSpec(), rng, obj)
+            return rng, lambda: run(ens, params, Schedule(), obj, steps, rng)
+
+        serial, _ = _run_with_threshold(math.inf, make, 4, 2, 100)
+        produced, forks = _run_with_threshold(0, make, 4, 2, 100)
+        assert serial[0] is ZeroDivisionError
+        assert produced == serial
+        assert forks == (1 if TWO_CPUS else 0)
+        _assert_no_child()
+
+    def test_diverged_trajectory_leaves_serial_states(self):
+        def make(seed, m, steps):
+            obj = box_objective(2, 1.0)
+            params = CboParams(lambda1=1.0, sigma1=20.0, alpha=30.0, dt=0.05)
+            rng = RngStream(seed)
+            ens = init_ensemble(20, 2, InitSpec("uniform", low=-0.5, high=0.5), rng, obj)
+            return rng, lambda: run(ens, params, Schedule(), obj, steps, rng)
+
+        serial, _ = _run_with_threshold(math.inf, make, 2, 1, 200)
+        produced, forks = _run_with_threshold(0, make, 2, 1, 200)
+        assert serial[0] is DivergedError
+        assert produced == serial
+        assert forks == (1 if TWO_CPUS else 0)
+        _assert_no_child()
+
+    def test_normal_return_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", 0)
+        rng, go = _exact_memory_case(0, 3, 50)
+        assert go().n_steps == 50
+        _assert_no_child()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
+    def test_produced_channel_has_no_generator_here(self, monkeypatch):
+        """While the child draws a channel, the generator here is stale and
+        asking for it raises; the other channels are served here."""
+        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", 0)
+        obj = Sphere(2)
+        params = CboParams(lambda1=1.0, sigma1=0.5)
+        rng = RngStream(0)
+        ens = init_ensemble(10, 2, InitSpec(), rng, obj)
+
+        def observe(e):
+            if e.step_index == 3:
+                rng.generator(CHANNEL_INIT)
+                rng.generator(CHANNEL_CONSENSUS)
+
+        with pytest.raises(RuntimeError, match="channel 1 is being drawn by a producer"):
+            run(ens, params, Schedule(), obj, 20, rng, observe=observe)
+        _assert_no_child()
+        rng.generator(CHANNEL_CONSENSUS)
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
+    def test_draws_beyond_the_quota_or_of_another_shape_raise(self, monkeypatch):
+        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", 0)
+        rng = RngStream(0, range(2))
+        with pytest.raises(RuntimeError, match="more often than the run has steps"):
+            with rng.producing([CHANNEL_CONSENSUS], 3, 2, 2):
+                with pytest.raises(ValueError, match="blocks of"):
+                    rng.gaussians(CHANNEL_CONSENSUS, 4, 2)
+                for _ in range(3):
+                    rng.gaussians(CHANNEL_CONSENSUS, 3, 2)
+        _assert_no_child()
+        serial = RngStream(0, range(2))
+        for _ in range(2):
+            serial.gaussians(CHANNEL_CONSENSUS, 3, 2)
+        assert _generator_states(rng) == _generator_states(serial)
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
+    def test_a_failing_child_is_an_error_not_a_hang(self, monkeypatch):
+        here, fill = os.getpid(), cbo.rng._fill
+
+        def fill_here_only(gens, out):
+            if os.getpid() != here:
+                raise MemoryError
+            fill(gens, out)
+
+        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", 0)
+        monkeypatch.setattr(cbo.rng, "_fill", fill_here_only)
+        rng, go = _exact_memory_case(0, 2, 10)
+        with pytest.raises(RuntimeError, match="noise producer exited early with status 1"):
+            go()
+        _assert_no_child()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
+    def test_child_exits_when_its_parent_dies(self):
+        script = (
+            "import os, signal\n"
+            "import cbo.rng\n"
+            "from cbo.dynamics import CboParams, InitSpec, Schedule, init_ensemble, run\n"
+            "from cbo.objectives import Sphere\n"
+            "cbo.rng.PRODUCER_MIN_NORMALS = 0\n"
+            "rng = cbo.rng.RngStream(0)\n"
+            "obj = Sphere(2)\n"
+            "ens = init_ensemble(10, 2, InitSpec(), rng, obj)\n"
+            "def observe(e):\n"
+            "    if e.step_index == 1:\n"
+            "        print(rng._producer.pid, flush=True)\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "run(ens, CboParams(sigma1=0.5), Schedule(), obj, 10**6, rng, observe=observe)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        stat = Path(f"/proc/{int(proc.stdout)}/stat")
+
+        def running():  # neither gone nor a zombie waiting for its new parent
+            try:
+                return stat.read_text().rsplit(")", 1)[-1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while running():
+            assert time.monotonic() < deadline, "the producer outlived its parent"
+            time.sleep(0.01)
+

@@ -51,6 +51,13 @@ class TestRastrigin:
             obj.gradients(pts), [rastrigin_grad(x) for x in pts], rtol=1e-14
         )
 
+    @pytest.mark.parametrize("shape", [(4, 100, 4), (100, 100, 4), (7, 3)])
+    def test_values_are_the_textbook_expression_bit_for_bit(self, shape):
+        """The in-place values keep the operation order of the expression."""
+        pts = np.random.Generator(np.random.PCG64(2)).normal(1.5, 2.0, shape)
+        want = np.sum(pts**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * pts)), axis=-1)
+        assert Rastrigin(shape[-1]).values(pts).tobytes() == want.tobytes()
+
     @given(arrays(float, 3, elements=st.floats(-10, 10)))
     def test_nonnegative_with_quadratic_bounds(self, x):
         v = rastrigin(x)
