@@ -257,20 +257,19 @@ class RngStream:
         After the block every generator stands where drawing here would
         have left it."""
         normals = len(channels) * len(self.trials) * n * d * n_steps
+        producer = None
         if (
-            self._producer is not None
-            or not normals
-            or normals < PRODUCER_MIN_NORMALS
-            or not sys.platform.startswith("linux")
-            or len(os.sched_getaffinity(0)) < 2
+            self._producer is None
+            and normals
+            and normals >= PRODUCER_MIN_NORMALS
+            and sys.platform.startswith("linux")
+            and len(os.sched_getaffinity(0)) >= 2
         ):
-            yield
-            return
-        gens = {c: self._per_trial(c) for c in channels}
-        try:
-            producer = _Producer(gens, self.batch_shape + (n, d), n_steps)
-        except OSError:  # no process to spare: draw here
-            producer = None
+            gens = {c: self._per_trial(c) for c in channels}
+            try:
+                producer = _Producer(gens, self.batch_shape + (n, d), n_steps)
+            except OSError:  # no process to spare: draw here
+                pass
         if producer is None:
             yield
             return
