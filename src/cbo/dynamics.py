@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -20,7 +21,9 @@ from .rng import (
     CHANNEL_INIT,
     CHANNEL_MEMORY,
     CHANNEL_SUBSET,
+    STATE_BYTES,
     RngStream,
+    second_cpu_pays,
 )
 
 
@@ -36,7 +39,10 @@ def _keep_freed_heap() -> None:
     this call, but the benchmark process took about 35 (0.9-1.1 million per
     20 s run, against 60 thousand with it) and its wall time per cell was
     0.77-0.87 s against 0.66-0.73 s with it, in five interleaved pairs on a
-    2-vCPU Xeon VM.  The values set are the caps that glibc's own adaptive
+    2-vCPU Xeon VM.  When ``run`` splits that batch over two processes,
+    with (2, 100, 50) and (1, 100, 50) temporaries, it made no measurable
+    difference there; it stays for the single-process layout of a one-CPU
+    host.  The values set are the caps that glibc's own adaptive
     thresholds reach on 64-bit hosts."""
     if not sys.platform.startswith("linux"):
         return
@@ -289,6 +295,14 @@ def _unless_frozen(active: np.ndarray | None, new: np.ndarray, old: np.ndarray) 
     return np.where(active.reshape(active.shape + (1,) * (new.ndim - active.ndim)), new, old)
 
 
+def _draw_batch(rng: RngStream, n_batches: int) -> np.ndarray:
+    return rng.draw(CHANNEL_BATCH, lambda gen: gen.integers(n_batches))
+
+
+def _draw_subset(rng: RngStream, n: int, k: int) -> np.ndarray:
+    return rng.draw(CHANNEL_SUBSET, lambda gen: gen.choice(n, size=k, replace=False))
+
+
 def step(
     ens: Ensemble,
     params: CboParams,
@@ -330,9 +344,7 @@ def step(
 
         subset = None
         if n_consensus is not None and n_consensus < ens.n:
-            subset = rng.draw(
-                CHANNEL_SUBSET, lambda gen: gen.choice(ens.n, size=n_consensus, replace=False)
-            )
+            subset = _draw_subset(rng, ens.n, n_consensus)
         y_alpha = consensus_point(y, e_y, params.alpha, subset)[..., None, :]
 
         # each difference feeds a drift term and a noise term: computed once
@@ -458,6 +470,157 @@ def _noise_channels(params: CboParams, schedule: Schedule, last_step: int) -> tu
     return tuple(c for c, sigma in sigmas.items() if sigma * scale != 0.0)
 
 
+# the per-trial state of an ensemble, the part a split run hands back
+_TRIAL_FIELDS = ("positions", "memories", "memory_energies", "active", "diverged_at")
+
+
+def _steps(
+    ens: Ensemble,
+    params: CboParams,
+    schedule: Schedule,
+    objective: Objective,
+    max_steps: int,
+    rng: RngStream,
+    n_consensus: int | None,
+    observe: Callable[[Ensemble], object] | None = None,
+) -> None:
+    """The step loop of ``run``: up to ``max_steps`` steps, until every
+    trial has diverged, with ``observe`` called after each."""
+    for _ in range(max_steps):
+        if not ens.active.any():
+            break
+        step_params = schedule.params_at(params, ens.step_index)
+        batch = None
+        if objective.n_batches > 1:
+            batch = _draw_batch(rng, objective.n_batches)
+        step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
+        if observe is not None:
+            observe(ens)
+
+
+def _splits(ens: Ensemble, params: CboParams, objective: Objective, rng: RngStream,
+            max_steps: int) -> bool:
+    """Whether ``run`` steps the trials of ``ens`` in two processes: a batch
+    of two or more trials without noise, whose objective splits as it
+    stacks, with enough work for a second CPU."""
+    batch = ens.batch_shape
+    return (
+        len(batch) == 1
+        and batch[0] >= 2
+        and rng.batch_shape == batch
+        and params.sigma1 == params.sigma2 == params.sigma3 == 0.0
+        and all("part" in vars(c) for c in type(objective).__mro__ if "stack" in vars(c))
+        and second_cpu_pays(batch[0] * ens.n * ens.d * max_steps)
+    )
+
+
+def _fork_part(ens: Ensemble, rng: RngStream, channels: tuple[int, ...],
+               advance: Callable) -> tuple[int, dict[str, np.ndarray]] | None:
+    """Fork a child that calls ``advance(observe)`` to step ``ens`` and
+    leaves its step count, per-trial state and generator states of
+    ``channels`` in shared arrays; the child's pid and those arrays, or None
+    when no child could be started.  The child exits when its parent is
+    gone, and always through ``os._exit``."""
+    import mmap  # loaded on first use, as for the producer
+
+    likes = {"steps": np.empty((), np.int64), "states": np.empty(
+        len(channels) * len(rng.trials) * STATE_BYTES, np.uint8)}
+    likes.update((name, getattr(ens, name)) for name in _TRIAL_FIELDS)
+    offsets, size = {}, 0
+    for name, like in likes.items():
+        offsets[name] = size
+        size += -(-like.nbytes // 8) * 8  # every array 8-byte aligned
+    parent = os.getpid()
+    try:
+        buf = mmap.mmap(-1, size)
+        pid = os.fork()
+    except OSError:  # no memory or process to spare
+        return None
+    shared = {name: np.frombuffer(buf, like.dtype, like.size, offsets[name]).reshape(like.shape)
+              for name, like in likes.items()}
+    if pid:
+        return pid, shared
+    status = 1
+    try:
+        start = ens.step_index
+        advance(lambda e: os.getppid() != parent and os._exit(1))
+        shared["steps"][...] = ens.step_index - start
+        for name in _TRIAL_FIELDS:
+            shared[name][...] = getattr(ens, name)
+        shared["states"][:] = np.frombuffer(rng.pack_states(channels), np.uint8)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _split_steps(
+    ens: Ensemble,
+    params: CboParams,
+    schedule: Schedule,
+    objective: Objective,
+    max_steps: int,
+    rng: RngStream,
+    n_consensus: int | None,
+) -> None:
+    """``_steps`` over the leading ceil(M/2) trials here and the others in a
+    forked child, each part on its own sub-ensemble, sub-objective and
+    sub-stream, merged back into ``ens`` and ``rng`` as if stepped together.
+    When no child starts or it fails, its trials are stepped here."""
+    m = ens.batch_shape[0]
+    halves = (slice(0, m - m // 2), slice(m - m // 2, m))
+    ensembles = [Ensemble(**{name: getattr(ens, name)[s] for name in _TRIAL_FIELDS},
+                          step_index=ens.step_index) for s in halves]
+    objectives = [objective.part(s) for s in halves]
+    streams = [rng.part(s) for s in halves]
+
+    def advance(i, observe=None):
+        _steps(ensembles[i], params, schedule, objectives[i], max_steps, streams[i],
+               n_consensus, observe)
+
+    # what every step draws besides noise; a part that stops early, its
+    # trials all diverged, draws it for the steps the other part went on
+    draws = []
+    if objective.n_batches > 1:
+        draws.append((CHANNEL_BATCH, lambda r: _draw_batch(r, objective.n_batches)))
+    if n_consensus is not None and n_consensus < ens.n:
+        draws.append((CHANNEL_SUBSET, lambda r: _draw_subset(r, ens.n, n_consensus)))
+    channels = tuple(c for c, _ in draws)
+
+    child = _fork_part(ensembles[1], streams[1], channels, lambda observe: advance(1, observe))
+    status = 0
+    failed = True
+    try:
+        advance(0)
+        failed = False
+    finally:
+        if child is not None:
+            if failed:
+                import signal  # loaded on first use, as mmap
+
+                os.kill(child[0], signal.SIGKILL)
+            status = os.waitpid(child[0], 0)[1]
+    if child is None or status != 0:
+        advance(1)
+    else:
+        shared = child[1]
+        for name in _TRIAL_FIELDS:
+            setattr(ensembles[1], name, shared[name].copy())
+        ensembles[1].step_index += int(shared["steps"])
+        if ensembles[1].step_index > ens.step_index:  # the child built and drew them
+            streams[1].unpack_states(channels, shared["states"].tobytes())
+
+    last = max(part.step_index for part in ensembles)
+    for part, stream in zip(ensembles, streams):
+        for _ in range(last - part.step_index):
+            for _, draw in draws:
+                draw(stream)
+    rng.join(streams)
+    for name in _TRIAL_FIELDS:
+        setattr(ens, name, np.concatenate([getattr(part, name) for part in ensembles]))
+    ens.step_index = last
+    ens.residual = None
+
+
 def run(
     initial: Ensemble,
     params: CboParams,
@@ -482,31 +645,28 @@ def run(
     and after every step, and computes and keeps whatever it reads, such as
     :func:`cbo.theory.lyapunov_V`; it must not change the ensemble.
 
-    The noise the run's steps draw is drawn ahead through
-    :meth:`RngStream.producing`, so every number and every generator's
-    state after the run are as if drawn in order."""
+    The second CPU, when :func:`cbo.rng.second_cpu_pays`, takes one of two
+    jobs.  The noise the run's steps draw is drawn ahead through
+    :meth:`RngStream.producing`.  A batch of two or more trials without
+    noise or observer, whose objective defines ``Objective.part`` wherever
+    it overrides ``stack``, has its trailing floor(M/2) trials stepped in a
+    forked child.  Either way every number, and every generator's state
+    after a run that returns, are as if computed here in order."""
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     ens = initial
     if observe is not None:
         observe(ens)
 
-    step_params = schedule.params_at(params, ens.step_index)
     start = ens.step_index
-    batched = objective.n_batches > 1
     noise = _noise_channels(params, schedule, start + max_steps - 1) if max_steps else ()
-    with rng.producing(noise, ens.n, ens.d, max_steps):
-        for _ in range(max_steps):
-            if not ens.active.any():
-                break
-            step_params = schedule.params_at(params, ens.step_index)
-            batch = None
-            if batched:
-                batch = rng.draw(CHANNEL_BATCH, lambda gen: gen.integers(objective.n_batches))
-            step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
-            if observe is not None:
-                observe(ens)
+    if observe is None and _splits(ens, params, objective, rng, max_steps):
+        _split_steps(ens, params, schedule, objective, max_steps, rng, n_consensus)
+    else:
+        with rng.producing(noise, ens.n, ens.d, max_steps):
+            _steps(ens, params, schedule, objective, max_steps, rng, n_consensus, observe)
 
+    step_params = schedule.params_at(params, max(start, ens.step_index - 1))
     consensus = np.full(ens.batch_shape + (ens.d,), np.nan)
     if ens.active.any():
         last = consensus_point(ens.memories, ens.memory_energies, step_params.alpha)

@@ -53,6 +53,12 @@ class Objective:
                 raise ValueError(f"trials of one batch need equal {cls.__name__} objectives")
         return first
 
+    def part(self, trials: slice) -> "Objective":
+        """The objective of the trials ``trials`` of the batch this one
+        serves, the inverse of ``stack``: without per-trial data, itself.
+        A subclass that overrides ``stack`` overrides this with it."""
+        return self
+
     def values(self, points: np.ndarray, batch: int | np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
@@ -133,6 +139,16 @@ class CsObjective(Objective):
         out = copy.copy(first)
         out.A = np.stack([o.A for o in objectives])
         out.b = np.stack([o.b for o in objectives])
+        return out
+
+    def part(self, trials: slice) -> "CsObjective":
+        """A copy holding the ``A`` and ``b`` of the trials ``trials`` of a
+        stacked batch; an unstacked objective serves every trial."""
+        if self.A.ndim < 3:
+            return self
+        out = copy.copy(self)
+        out.A = self.A[trials]
+        out.b = self.b[trials]
         return out
 
     def _residual(self, points):

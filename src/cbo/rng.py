@@ -10,7 +10,10 @@ share its batch, and two seeds share no trial stream.
 A run with enough noise to draw has those draws made ahead by a forked
 child process on the second CPU (see :meth:`RngStream.producing`); the
 numbers, and each generator's state after the run, are those of drawing
-them in order here.
+them in order here.  A run without noise may instead step part of its
+trials in a forked child, on the sub-stream :meth:`RngStream.part` of
+those trials (see :func:`cbo.dynamics.run`); :func:`second_cpu_pays` is
+the one rule for both.
 """
 
 from __future__ import annotations
@@ -32,18 +35,20 @@ CHANNEL_BATCH = 5
 CHANNEL_SUBSET = 6
 CHANNEL_INSTANCE = 7
 
-# A run draws its noise in a child process only when it has at least this
-# many normals to draw: forking, exiting and reaping the child cost 3.8 ms
-# (median) in a 44 MB numpy process on a 2-vCPU Xeon VM, the time of drawing
-# about 2**18 normals there, so a run of 2**21 pays it back several times.
-PRODUCER_MIN_NORMALS = 2**21
+# A run forks a second process only when it has at least this much work for
+# it: normals to draw (the noise producer) or particle coordinates times
+# steps to step (a split run).  Forking, exiting and reaping the child cost
+# 3.8 ms (median) in a 44 MB numpy process on a 2-vCPU Xeon VM, the time of
+# drawing about 2**18 normals there, so a run of 2**21 pays it back several
+# times; stepping a coordinate costs more than drawing a normal.
+FORK_MIN_WORK = 2**21
 # Bytes of (..., n, d) slots the child may draw ahead, and at least two slots.
 RING_BYTES = 256 << 10
 # How long the child sleeps while the ring is full.  It sleeps rather than
 # blocks: a blocking hand-over per step woke the child on the parent's CPU.
 _FULL_SLEEP_S = 50e-6
 # Per generator, the four integers of a PCG64 state, 16 bytes each.
-_STATE_BYTES = 64
+STATE_BYTES = 64
 
 
 def _fill(gens: Sequence[np.random.Generator], out: np.ndarray) -> None:
@@ -61,7 +66,7 @@ def _pack_state(gen: np.random.Generator) -> bytes:
 
 def _unpack_state(gen: np.random.Generator, data: bytes) -> None:
     state, inc, has_uint32, uinteger = (
-        int.from_bytes(data[i:i + 16], "little") for i in range(0, _STATE_BYTES, 16)
+        int.from_bytes(data[i:i + 16], "little") for i in range(0, STATE_BYTES, 16)
     )
     gen.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -69,6 +74,17 @@ def _unpack_state(gen: np.random.Generator, data: bytes) -> None:
         "has_uint32": has_uint32,
         "uinteger": uinteger,
     }
+
+
+def second_cpu_pays(work: int) -> bool:
+    """Whether a run with ``work`` units of work for a second process forks
+    one: on Linux, with two or more CPUs in the affinity mask and at least
+    ``FORK_MIN_WORK`` units."""
+    return (
+        work >= max(FORK_MIN_WORK, 1)
+        and sys.platform.startswith("linux")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
 
 
 class _Producer:
@@ -92,7 +108,7 @@ class _Producer:
         slot_shape = (len(gens),) + block
         slot_bytes = 8 * int(np.prod(slot_shape))
         n_slots = min(n_steps, max(2, RING_BYTES // slot_bytes))
-        header = _STATE_BYTES * sum(len(g) for g in gens.values())
+        header = STATE_BYTES * sum(len(g) for g in gens.values())
         self.taken = [0] * len(gens)  # slots the parent read, per channel
         self.ready = 0  # slots the parent knows are filled
         self.released = 0  # slots the parent handed back
@@ -131,8 +147,8 @@ class _Producer:
             at = 0
             for channel in self.channels:
                 for gen in self.gens[channel]:
-                    self.header[at:at + _STATE_BYTES] = _pack_state(gen)
-                    at += _STATE_BYTES
+                    self.header[at:at + STATE_BYTES] = _pack_state(gen)
+                    at += STATE_BYTES
             status = 0
         finally:
             os._exit(status)
@@ -176,8 +192,8 @@ class _Producer:
             at = 0
             for channel in self.channels:
                 for gen in self.gens[channel]:
-                    _unpack_state(gen, bytes(self.header[at:at + _STATE_BYTES]))
-                    at += _STATE_BYTES
+                    _unpack_state(gen, bytes(self.header[at:at + STATE_BYTES]))
+                    at += STATE_BYTES
             return
         scratch = np.empty(self.slots.shape[2:])
         for channel, taken in zip(self.channels, self.taken):
@@ -222,6 +238,36 @@ class RngStream:
             self._generators[channel] = gens
         return gens
 
+    def part(self, trials: slice) -> "RngStream":
+        """The streams of the trials ``self.trials[trials]`` of a batch,
+        sharing the generators built so far; :meth:`join` takes back those
+        the parts build."""
+        out = RngStream(self.seed, self.trials[trials])
+        out._generators = {c: gens[trials] for c, gens in self._generators.items()}
+        return out
+
+    def join(self, parts: Sequence["RngStream"]) -> None:
+        """Take over the generators of ``parts``, which hold this batch's
+        trials in order and have built the same channels."""
+        self._generators = {
+            c: [gen for part in parts for gen in part._generators[c]]
+            for c in parts[0]._generators
+        }
+
+    def pack_states(self, channels: Sequence[int]) -> bytes:
+        """The states of every trial's generator of each of ``channels``,
+        ``STATE_BYTES`` each, for :meth:`unpack_states` in another process."""
+        return b"".join(_pack_state(gen) for c in channels for gen in self._per_trial(c))
+
+    def unpack_states(self, channels: Sequence[int], data: bytes) -> None:
+        """Set the generators of ``channels`` to the states ``pack_states``
+        wrote, building those not built yet."""
+        at = 0
+        for c in channels:
+            for gen in self._per_trial(c):
+                _unpack_state(gen, data[at:at + STATE_BYTES])
+                at += STATE_BYTES
+
     def generator(self, channel: int) -> np.random.Generator:
         """The generator of ``channel`` of a single-trial stream."""
         if self.batch_shape:
@@ -251,19 +297,14 @@ class RngStream:
         ``channels`` serves the next of ``n_steps`` draws made ahead in a
         forked child, and the generators of those channels are the child's
         until the block ends; it may draw each channel at most ``n_steps``
-        times.  The child runs only on Linux with two or more CPUs in the
-        affinity mask and at least ``PRODUCER_MIN_NORMALS`` normals to draw;
-        otherwise, and if the fork fails, the block draws them here.
+        times.  The child runs only when :func:`second_cpu_pays` for the
+        normals to draw; otherwise, and if the fork fails, the block draws
+        them here.
         After the block every generator stands where drawing here would
         have left it."""
-        normals = len(channels) * len(self.trials) * n * d * n_steps
         producer = None
-        if (
-            self._producer is None
-            and normals
-            and normals >= PRODUCER_MIN_NORMALS
-            and sys.platform.startswith("linux")
-            and len(os.sched_getaffinity(0)) >= 2
+        if self._producer is None and second_cpu_pays(
+            len(channels) * len(self.trials) * n * d * n_steps
         ):
             gens = {c: self._per_trial(c) for c in channels}
             try:

@@ -1,15 +1,18 @@
-"""What the noise producer's child processes cost: their peak RSS and CPU time.
+"""What a run's child processes cost: their peak RSS and CPU time.
 
     python3 studies/producer_usage.py --workload sphere-decay --bodies 5
 
-Runs ``--bodies`` bodies of a benchmark workload in this process, on the
-benchmark's inputs for ``--seed``, and prints one JSON object with the wall
-time of the bodies and ``getrusage`` of this process (``self``) and of its
-children reaped while the bodies ran (``children``): peak RSS in MiB (for
-the children, that of the largest one) and user and system CPU seconds.
+A run forks one child on a second CPU: the noise producer of a run with
+noise (``rastrigin-cell``, ``sphere-decay``), or the child that steps half
+of a noise-free batch (``cs-l12-cell``).  This runs ``--bodies`` bodies of a
+benchmark workload in this process, on the benchmark's inputs for
+``--seed``, and prints one JSON object with the wall time of the bodies and
+``getrusage`` of this process (``self``) and of its children reaped while
+the bodies ran (``children``): peak RSS in MiB (for the children, that of
+the largest one) and user and system CPU seconds, in total and per body.
 The benchmark's own ``peak_rss_mb`` and ``process.cpu_s`` count only its
 own process, and it starts other processes (its set-up probes), so it
-cannot tell the producers' share; here the producers are the only
+cannot tell the children's share; here the runs' children are the only
 children.
 """
 
@@ -45,6 +48,10 @@ def usage(who: int, before: resource.struct_rusage | None = None) -> dict:
     return {"peak_rss_mb": ru.ru_maxrss / 1024.0, "user_s": user, "sys_s": system}
 
 
+def per_body(usage: dict, bodies: int) -> dict:
+    return {"user_s": usage["user_s"] / bodies, "sys_s": usage["sys_s"] / bodies}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
@@ -58,13 +65,16 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     for repeat in range(args.bodies):
         body(workload.input_seed(args.seed, repeat))
+    wall = time.perf_counter() - start
+    own, children = usage(resource.RUSAGE_SELF), usage(resource.RUSAGE_CHILDREN, before)
     print(json.dumps({
         "workload": args.workload,
         "bodies": args.bodies,
-        "wall_s": time.perf_counter() - start,
+        "wall_s": wall,
         "cpus_usable": len(os.sched_getaffinity(0)),
-        "self": usage(resource.RUSAGE_SELF),
-        "children": usage(resource.RUSAGE_CHILDREN, before),
+        "self": own,
+        "children": children,
+        "per_body": {"wall_s": wall / args.bodies, "children": per_body(children, args.bodies)},
     }))
     return 0
 

@@ -593,24 +593,37 @@ def _rastrigin_sweep_2x2(tmp_path):
     return write_config(tmp_path, payload)
 
 
+def _cs_sweep_2x2(tmp_path):
+    """configs/cs_sweep.yaml on a 2 x 2 grid, 4 trials of 200 steps."""
+    payload = yaml.safe_load((CONFIG_DIR / "cs_sweep.yaml").read_text())
+    payload["experiment"].update(trials=4, horizon_T=2.0)
+    payload["sweep"].update(x_grid=[0.0, 1.0], y_grid=[10, 25])
+    return write_config(tmp_path, payload)
+
+
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, options",
     [
-        ("run", lambda tmp_path: str(CONFIG_DIR / "sphere_run.yaml")),
-        ("decay", lambda tmp_path: str(CONFIG_DIR / "decay.yaml")),
-        ("sweep-rastrigin", _rastrigin_sweep_2x2),
+        ("run", lambda tmp_path: str(CONFIG_DIR / "sphere_run.yaml"), []),
+        ("decay", lambda tmp_path: str(CONFIG_DIR / "decay.yaml"), []),
+        ("sweep-rastrigin", _rastrigin_sweep_2x2, []),
+        ("sweep-cs", _cs_sweep_2x2, ["--format", "csv"]),
+        ("sweep-cs", _cs_sweep_2x2, ["--format", "json"]),
     ],
-    ids=["run", "decay", "sweep-rastrigin"],
+    ids=["run", "decay", "sweep-rastrigin", "sweep-cs-csv", "sweep-cs-json"],
 )
-def test_noise_drawn_in_a_child_writes_the_same_files(tmp_path, monkeypatch, command, config):
-    """Each command writes the same bytes whether its runs draw their noise
-    in a forked child (threshold 0) or in order here (threshold inf)."""
+def test_noise_drawn_in_a_child_writes_the_same_files(
+    tmp_path, monkeypatch, command, config, options
+):
+    """Each command writes the same bytes whether its runs use a forked
+    child, to draw their noise or to step half of a noise-free batch
+    (threshold 0), or run in order here (threshold inf)."""
     path = config(tmp_path)
     files = []
     for threshold in (0, math.inf):
-        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", threshold)
+        monkeypatch.setattr(cbo.rng, "FORK_MIN_WORK", threshold)
         out = tmp_path / f"out_{threshold}"
-        assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+        assert main([command, "--config", path, "--out", str(out), *options]) == EXIT_OK
         files.append(out.read_bytes())
     assert files[0] == files[1]
 

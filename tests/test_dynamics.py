@@ -763,9 +763,9 @@ def _outcome(rng, result):
 
 
 def _run_with_threshold(threshold, make, *args):
-    """``make(*args)``'s run with the producer's threshold at ``threshold``:
-    its outcome or the exception it raised, the generator states, and the
-    number of producers it started."""
+    """``make(*args)``'s run with the fork threshold at ``threshold``: its
+    outcome or the exception it raised, the generator states, and the number
+    of child processes it started, noise producers and split parts."""
     started = []
 
     class Counted(cbo.rng._Producer):
@@ -773,9 +773,18 @@ def _run_with_threshold(threshold, make, *args):
             super().__init__(*a, **k)
             started.append(self.pid)
 
+    fork_part = cbo.dynamics._fork_part
+
+    def counted_fork_part(*a, **k):
+        child = fork_part(*a, **k)
+        if child is not None:
+            started.append(child[0])
+        return child
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", threshold)
+        mp.setattr(cbo.rng, "FORK_MIN_WORK", threshold)
         mp.setattr(cbo.rng, "_Producer", Counted)
+        mp.setattr(cbo.dynamics, "_fork_part", counted_fork_part)
         rng, go = make(*args)
         try:
             out = _outcome(rng, go())
@@ -787,6 +796,33 @@ def _run_with_threshold(threshold, make, *args):
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _python(script):
+    """``script`` run by a fresh interpreter that imports this ``cbo``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def _wait_gone(pid):
+    """Wait until process ``pid`` is neither running nor a zombie waiting
+    for its new parent; fail after 10 s."""
+    stat = Path(f"/proc/{pid}/stat")
+
+    def running():
+        try:
+            return stat.read_text().rsplit(")", 1)[-1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 10.0
+    while running():
+        assert time.monotonic() < deadline, f"process {pid} outlived its parent"
+        time.sleep(0.01)
 
 
 TWO_CPUS = sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
@@ -874,7 +910,7 @@ class TestNoiseProducer:
         _assert_no_child()
 
     def test_normal_return_leaves_no_child(self, monkeypatch):
-        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", 0)
+        monkeypatch.setattr(cbo.rng, "FORK_MIN_WORK", 0)
         rng, go = _exact_memory_case(0, 3, 50)
         assert go().n_steps == 50
         _assert_no_child()
@@ -883,7 +919,7 @@ class TestNoiseProducer:
     def test_produced_channel_has_no_generator_here(self, monkeypatch):
         """While the child draws a channel, the generator here is stale and
         asking for it raises; the other channels are served here."""
-        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", 0)
+        monkeypatch.setattr(cbo.rng, "FORK_MIN_WORK", 0)
         obj = Sphere(2)
         params = CboParams(lambda1=1.0, sigma1=0.5)
         rng = RngStream(0)
@@ -901,7 +937,7 @@ class TestNoiseProducer:
 
     @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
     def test_draws_beyond_the_quota_or_of_another_shape_raise(self, monkeypatch):
-        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", 0)
+        monkeypatch.setattr(cbo.rng, "FORK_MIN_WORK", 0)
         rng = RngStream(0, range(2))
         with pytest.raises(RuntimeError, match="more often than the run has steps"):
             with rng.producing([CHANNEL_CONSENSUS], 3, 2, 2):
@@ -924,7 +960,7 @@ class TestNoiseProducer:
                 raise MemoryError
             fill(gens, out)
 
-        monkeypatch.setattr(cbo.rng, "PRODUCER_MIN_NORMALS", 0)
+        monkeypatch.setattr(cbo.rng, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(cbo.rng, "_fill", fill_here_only)
         rng, go = _exact_memory_case(0, 2, 10)
         with pytest.raises(RuntimeError, match="noise producer exited early with status 1"):
@@ -938,7 +974,7 @@ class TestNoiseProducer:
             "import cbo.rng\n"
             "from cbo.dynamics import CboParams, InitSpec, Schedule, init_ensemble, run\n"
             "from cbo.objectives import Sphere\n"
-            "cbo.rng.PRODUCER_MIN_NORMALS = 0\n"
+            "cbo.rng.FORK_MIN_WORK = 0\n"
             "rng = cbo.rng.RngStream(0)\n"
             "obj = Sphere(2)\n"
             "ens = init_ensemble(10, 2, InitSpec(), rng, obj)\n"
@@ -948,23 +984,258 @@ class TestNoiseProducer:
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "run(ens, CboParams(sigma1=0.5), Schedule(), obj, 10**6, rng, observe=observe)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=60)
+        proc = _python(script)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
-        stat = Path(f"/proc/{int(proc.stdout)}/stat")
+        _wait_gone(int(proc.stdout))
 
-        def running():  # neither gone nor a zombie waiting for its new parent
-            try:
-                return stat.read_text().rsplit(")", 1)[-1].split()[0] != "Z"
-            except FileNotFoundError:
-                return False
 
-        deadline = time.monotonic() + 10.0
-        while running():
-            assert time.monotonic() < deadline, "the producer outlived its parent"
-            time.sleep(0.01)
 
+def _stacked_cs(seed, m, p=0.5, scaled=()):
+    """A stacked batch of m sparse-recovery instances (d=8, m=5); the
+    trials in ``scaled`` have A and b times 1e20, so they diverge within a
+    few gradient steps."""
+    objs = []
+    for t in range(m):
+        cs, _ = generate_cs_instance(8, 5, 2, 0.01, p, RngStream(seed, t))
+        if t in scaled:
+            cs = CsObjective(1e20 * cs.A, 1e20 * cs.b, cs.mu, cs.p)
+        objs.append(cs)
+    return CsObjective.stack(objs)
+
+
+def _split_case(objective, params, n=15, n_consensus=None, init=InitSpec()):
+    def make(seed, m, steps):
+        obj = objective(seed, m)
+        rng = RngStream(seed, range(m))
+        ens = init_ensemble(n, obj.dimension, init, rng, obj)
+        return rng, lambda: run(ens, params, Schedule(), obj, steps, rng, n_consensus=n_consensus)
+
+    return make
+
+
+def _diverging_part_case(part):
+    """Every trial of one part (the leading ceil(m/2) trials run here, or the
+    others, run in the child) diverges; consensus subsets are drawn, so the
+    generators of the part that stops early must catch up."""
+
+    def objective(seed, m):
+        here = m - m // 2
+        return _stacked_cs(seed, m, scaled=range(here) if part == "here" else range(here, m))
+
+    return _split_case(objective, CboParams(lambda1=1.0, lambda3=0.5, dt=0.01), n_consensus=5)
+
+
+SPLIT_CASES = {
+    "cs-exact-memory": _split_case(
+        _stacked_cs, CboParams(lambda1=1.0, lambda3=0.5, alpha=100.0, dt=0.01)
+    ),
+    "smoothed-memory": _split_case(
+        lambda seed, m: Rastrigin(3),
+        CboParams(lambda1=1.0, lambda2=0.5, beta=10.0, kappa=20.0, dt=0.05),
+        init=InitSpec(mean=1.5),
+    ),
+    "toy-minibatch": _split_case(
+        lambda seed, m: ToyStochasticObjective(2, 4), CboParams(lambda1=1.0, alpha=50.0, dt=0.05)
+    ),
+    "consensus-subsets": _split_case(
+        lambda seed, m: _stacked_cs(seed, m, p=1.0),
+        CboParams(lambda1=1.0, lambda3=1.0, alpha=100.0, dt=0.01), n_consensus=6,
+    ),
+    "diverging-here": _diverging_part_case("here"),
+    "diverging-in-child": _diverging_part_case("child"),
+}
+
+
+class TestSplitRun:
+    """A noise-free batch stepped as two parts, the trailing floor(M/2)
+    trials in a forked child, equals stepping it here: the same final state,
+    and every generator left where serial drawing leaves it."""
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), steps=st.integers(1, 60))
+    def test_equals_serial_steps(self, case, seed, m, steps):
+        serial, none = _run_with_threshold(math.inf, SPLIT_CASES[case], seed, m, steps)
+        split, forks = _run_with_threshold(0, SPLIT_CASES[case], seed, m, steps)
+        assert split == serial
+        assert none == 0
+        assert forks == (1 if TWO_CPUS else 0)
+        _assert_no_child()
+
+    @pytest.mark.parametrize("part", ["here", "child"])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_a_part_whose_trials_all_diverge_catches_up(self, part, m):
+        make = SPLIT_CASES[f"diverging-{'here' if part == 'here' else 'in-child'}"]
+        serial, _ = _run_with_threshold(math.inf, make, 7, m, 80)
+        split, forks = _run_with_threshold(0, make, 7, m, 80)
+        assert split == serial
+        assert forks == (1 if TWO_CPUS else 0)
+        # the whole part diverged early, and the other part ran every step
+        diverged_at = np.frombuffer(serial[0][3], dtype=np.int64)
+        here = m - m // 2
+        dead, alive = (diverged_at[:here], diverged_at[here:])
+        if part == "child":
+            dead, alive = alive, dead
+        assert np.all((0 <= dead) & (dead < 10)) and np.all(alive == -1)
+        assert serial[1] == 80
+        _assert_no_child()
+
+    def test_noise_keeps_the_producer_and_one_trial_stays_here(self):
+        noisy = _split_case(_stacked_cs, CboParams(lambda1=1.0, lambda3=0.5, sigma1=0.3))
+        quiet = SPLIT_CASES["cs-exact-memory"]
+        started = {}
+        for name, make, m in (("noisy", noisy, 3), ("one trial", quiet, 1)):
+            started[name] = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cbo.rng, "FORK_MIN_WORK", 0)
+                mp.setattr(cbo.dynamics, "_fork_part",
+                           lambda *a: started[name].append(a) or None)
+                make(0, m, 20)[1]()
+        assert started == {"noisy": [], "one trial": []}
+        _assert_no_child()
+
+    def test_objective_that_stacks_without_its_own_part_is_not_split(self):
+        class OwnStack(CsObjective):
+            @classmethod
+            def stack(cls, objectives):
+                return super().stack(objectives)
+
+        def objective(seed, m):
+            cs = _stacked_cs(seed, m)
+            return OwnStack(cs.A, cs.b, cs.mu, cs.p)
+
+        make = _split_case(objective, CboParams(lambda1=1.0, lambda3=0.5))
+        serial, _ = _run_with_threshold(math.inf, make, 1, 4, 30)
+        unsplit, forks = _run_with_threshold(0, make, 1, 4, 30)
+        assert unsplit == serial and forks == 0
+
+    def test_objective_error_in_each_part_is_the_serial_error(self):
+        class Failing(Sphere):
+            calls = 0
+
+            def values(self, points, batch=None):
+                self.calls += 1
+                if self.calls > 12:
+                    raise ZeroDivisionError("objective failed")
+                return super().values(points, batch)
+
+        make = _split_case(lambda seed, m: Failing(2), CboParams(lambda1=1.0, alpha=50.0))
+        serial, _ = _run_with_threshold(math.inf, make, 4, 3, 100)
+        split, forks = _run_with_threshold(0, make, 4, 3, 100)
+        assert serial[:2] == (ZeroDivisionError, "objective failed")
+        assert split[:2] == serial[:2]
+        assert forks == (1 if TWO_CPUS else 0)
+        _assert_no_child()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the split needs Linux and two CPUs")
+    def test_an_error_here_kills_the_child(self, monkeypatch):
+        """The child of a run that raises here is killed, not waited for
+        through its million steps."""
+        here, waitpid, statuses = os.getpid(), os.waitpid, []
+
+        class FailingHere(Sphere):
+            calls = 0
+
+            def values(self, points, batch=None):
+                self.calls += 1
+                if self.calls > 12 and os.getpid() == here:
+                    raise ZeroDivisionError("objective failed")
+                return super().values(points, batch)
+
+        def recorded(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(os, "waitpid", recorded)
+        monkeypatch.setattr(cbo.rng, "FORK_MIN_WORK", 0)
+        make = _split_case(lambda seed, m: FailingHere(2), CboParams(lambda1=1.0))
+        with pytest.raises(ZeroDivisionError, match="objective failed"):
+            make(0, 2, 10**6)[1]()
+        assert len(statuses) == 1
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        _assert_no_child()
+
+    def test_error_in_the_childs_trials_surfaces_here(self):
+        """An objective that fails only on the last trial fails the child,
+        and stepping its trials here raises the error itself."""
+
+        class Poisoned(CsObjective):
+            calls = 0
+
+            def values(self, points, batch=None, with_residual=False):
+                self.calls += 1
+                if self.calls > 5 and np.any(self.A[..., 0, 0] == 0.0):
+                    raise FloatingPointError("poisoned trial")
+                return super().values(points, batch, with_residual)
+
+        def objective(seed, m):
+            cs = _stacked_cs(seed, m)
+            cs.A[-1, 0, 0] = 0.0
+            return Poisoned(cs.A, cs.b, cs.mu, cs.p)
+
+        make = _split_case(objective, CboParams(lambda1=1.0, lambda3=0.5))
+        serial, _ = _run_with_threshold(math.inf, make, 2, 3, 40)
+        split, forks = _run_with_threshold(0, make, 2, 3, 40)
+        assert serial[:2] == (FloatingPointError, "poisoned trial")
+        assert split[:2] == serial[:2]
+        assert forks == (1 if TWO_CPUS else 0)
+        _assert_no_child()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the split needs Linux and two CPUs")
+    def test_a_failing_child_falls_back_to_stepping_here(self, monkeypatch):
+        here, real_step = os.getpid(), cbo.dynamics.step
+
+        def step_here_only(*args, **kwargs):
+            if os.getpid() != here:
+                raise MemoryError
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(cbo.dynamics, "step", step_here_only)
+        make = SPLIT_CASES["consensus-subsets"]
+        serial, _ = _run_with_threshold(math.inf, make, 5, 3, 50)
+        split, forks = _run_with_threshold(0, make, 5, 3, 50)
+        assert split == serial and forks == 1
+        _assert_no_child()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the split needs Linux and two CPUs")
+    def test_a_failed_fork_steps_every_trial_here(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        make = SPLIT_CASES["toy-minibatch"]
+        serial, _ = _run_with_threshold(math.inf, make, 6, 4, 30)
+        split, forks = _run_with_threshold(0, make, 6, 4, 30)
+        assert split == serial and forks == 0
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the split needs Linux and two CPUs")
+    def test_child_exits_when_its_parent_dies(self):
+        """The child's trials reach their third objective call, hand its pid
+        over, and the parent kills itself at the same point."""
+        script = (
+            "import os, signal\n"
+            "import cbo.rng\n"
+            "from cbo.dynamics import CboParams, InitSpec, Schedule, init_ensemble, run\n"
+            "from cbo.objectives import Sphere\n"
+            "cbo.rng.FORK_MIN_WORK = 0\n"
+            "parent = os.getpid()\n"
+            "r, w = os.pipe()\n"
+            "class Handing(Sphere):\n"
+            "    calls = 0\n"
+            "    def values(self, points, batch=None):\n"
+            "        self.calls += 1\n"
+            "        if self.calls == 3 and os.getpid() != parent:\n"
+            "            os.write(w, str(os.getpid()).encode())\n"
+            "        elif self.calls == 3:\n"
+            "            print(os.read(r, 32).decode(), flush=True)\n"
+            "            os.kill(parent, signal.SIGKILL)\n"
+            "        return super().values(points, batch)\n"
+            "rng = cbo.rng.RngStream(0, range(2))\n"
+            "obj = Handing(2)\n"
+            "ens = init_ensemble(10, 2, InitSpec(), rng, obj)\n"
+            "run(ens, CboParams(), Schedule(), obj, 10**7, rng)\n"
+        )
+        proc = _python(script)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        _wait_gone(int(proc.stdout))

@@ -20,6 +20,15 @@ from helpers import FunctionObjective
 from oracles import cs_eval, cs_grad, rastrigin, rastrigin_grad
 
 
+class ScaledCs(CsObjective):
+    """A sparse-recovery objective with a state of its own, which stacking
+    and splitting keep."""
+
+    def __init__(self, A, b, mu, p, scale):
+        super().__init__(A, b, mu, p)
+        self.scale = scale
+
+
 class TestRastrigin:
     def test_global_minimum(self):
         assert rastrigin(np.zeros(4)) == 0.0
@@ -123,6 +132,31 @@ class TestCsEval:
         assert (stacked.dimension, stacked.mu, stacked.p) == (3, 0.5, 1.0)
         with pytest.raises(ValueError, match="equal mu and p"):
             CsObjective.stack([obj, CsObjective(obj.A, obj.b, 0.5, 0.5)])
+
+    @pytest.mark.parametrize("cls", [CsObjective, ScaledCs], ids=["CsObjective", "subclass"])
+    @pytest.mark.parametrize("trials", [slice(0, 1), slice(0, 3), slice(3, 5), slice(2, 5)])
+    def test_part_is_the_inverse_of_stack(self, cls, trials):
+        """A part of a stacked batch equals the stack of those trials' own
+        objectives, byte for byte, and keeps a subclass's own state."""
+        objs = []
+        for t in range(5):
+            cs, _ = generate_cs_instance(7, 4, 2, 0.05, 0.5, RngStream(9, t))
+            objs.append(cs if cls is CsObjective else ScaledCs(cs.A, cs.b, cs.mu, cs.p, 3.0))
+        got, want = cls.stack(objs).part(trials), cls.stack(objs[trials])
+        assert type(got) is type(want) is cls
+        assert vars(got).keys() == vars(want).keys()
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(got, name).shape == value.shape
+                assert getattr(got, name).tobytes() == value.tobytes()
+            else:
+                assert getattr(got, name) == value
+
+    def test_unstacked_objectives_are_their_own_parts(self):
+        cs, _ = generate_cs_instance(7, 4, 2, 0.05, 0.5, RngStream(0))
+        assert cs.part(slice(1, 2)) is cs
+        sphere = Sphere(3)
+        assert sphere.part(slice(0, 1)) is sphere
 
 
 class TestCsGrad:
