@@ -26,6 +26,8 @@ from .rng import (
     second_cpu_pays,
 )
 
+_REEXPORTED = (DivergedError,)  # not raised here; benchmark/workloads.py imports it from here
+
 
 def _keep_freed_heap() -> None:
     """Stop glibc from handing the heap top back to the OS after every step.
@@ -319,9 +321,8 @@ def step(
 
     A trial whose positions or energies turn non-finite in this step is
     frozen at its state before it, and the step is recorded in its
-    ``diverged_at``; an ensemble without a trial axis raises DivergedError
-    instead.  Frozen trials are never written again.  Mutates and returns
-    ``ens``.
+    ``diverged_at``, with or without a trial axis.  Frozen trials are never
+    written again.  Mutates and returns ``ens``.
     """
     k = ens.step_index
     x = ens.positions
@@ -389,8 +390,6 @@ def step(
             ok = ok & np.isfinite(e_y_new).all(axis=-1)
 
     if not ok.all():
-        if not ens.batch_shape:
-            raise DivergedError(k)
         ens.diverged_at[ens.active & ~ok] = k
         ens.active = ens.active & ok
     active = None if ens.active.all() else ens.active
@@ -634,8 +633,8 @@ def run(
     """Iterate ``step`` ``max_steps`` times, applying the schedule at epoch
     boundaries.
 
-    A trial ends early only by diverging, and the run ends early when every
-    trial has diverged; ``n_steps`` counts the steps the batch took.
+    A trial ends early only by diverging, which ``step`` records, and the
+    run ends early when every trial has; ``n_steps`` counts the batch's steps.
     ``RunResult.consensus`` holds each trial's final consensus point,
     computed with the parameters of the last step and from the memory
     energies cached by that step, which under mini-batching are the energies

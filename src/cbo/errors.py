@@ -9,8 +9,8 @@ class ConfigError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """Raised when a single trajectory develops non-finite coordinates or
-    energies."""
+    """Raised by ``run_report`` and ``decay_experiment`` (``cbo run`` and ``cbo
+    decay``) when their trajectory turns non-finite; ``step`` records it."""
 
     def __init__(self, step_index: int):
         super().__init__(f"diverged ensemble at step {step_index}")

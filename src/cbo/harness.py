@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import CboParams, Ensemble, InitSpec, Schedule, init_ensemble, run
+from .dynamics import CboParams, Ensemble, InitSpec, RunResult, Schedule, init_ensemble, run
 from .errors import ConfigError, DivergedError
 from .objectives import (
     CsObjective, Objective, check_cs_regularizer, check_cs_sizes, generate_cs_instance,
@@ -97,6 +97,10 @@ class ExperimentConfig:
     @property
     def n_steps(self) -> int:
         return horizon_steps(self.horizon_T, self.params.dt)
+
+    def problem(self, trial: int = 0) -> TrialProblem:
+        """The problem of trial ``trial``, drawn from its own streams."""
+        return self.objective_factory(RngStream(self.seed, trial))
 
 
 def horizon_steps(horizon: float, dt: float) -> int:
@@ -188,35 +192,57 @@ def _score(problem: TrialProblem, consensus: np.ndarray, rule: SuccessRule) -> t
     return res.success, res.reason
 
 
-def _run_outcomes(config: ExperimentConfig, trials: Sequence[int]) -> list[TrialOutcome]:
-    """Run a batch of trials as one array program and score each trial's
-    final consensus; each trial draws only from its own streams, so its
-    outcome is the same in any batch."""
+def _run_batch(
+    config: ExperimentConfig, trials: Sequence[int], rule: SuccessRule | None = None
+) -> tuple[list[TrialProblem], RunResult]:
+    """Trials ``trials`` of ``config`` as one array program: their problems
+    and the run.  Each trial draws only from its own streams, so its result
+    is the same in any batch.  Before the run starts, the problems are
+    checked to carry what ``rule``, if given, scores against."""
     rng = RngStream(config.seed, trials)
-    problems = [config.objective_factory(RngStream(config.seed, t)) for t in rng.trials]
-    # the problems must carry what the success rule scores against
-    if any(p.x_star is None for p in problems):
+    problems = [config.problem(t) for t in rng.trials]
+    if rule is not None and any(p.x_star is None for p in problems):
         raise ValueError("success rule needs a known minimizer")
-    if config.success.kind == "exact_sparse_recovery" and not all(
+    if rule is not None and rule.kind == "exact_sparse_recovery" and not all(
         isinstance(p.objective, CsObjective) for p in problems
     ):
         raise ConfigError("exact_sparse_recovery needs a CsObjective")
     objective = type(problems[0].objective).stack([p.objective for p in problems])
     ens = init_ensemble(config.n_particles, objective.dimension, config.init, rng, objective)
-    result = run(
-        ens, config.params, config.schedule, objective, config.n_steps, rng,
-        n_consensus=config.n_consensus,
-    )
+    return problems, run(ens, config.params, config.schedule, objective, config.n_steps, rng,
+                         n_consensus=config.n_consensus)
+
+
+def _raise_if_diverged(result: RunResult) -> None:
+    """Raise DivergedError if the trial of a batch of one diverged."""
+    if (k := int(result.ensemble.diverged_at[0])) >= 0:
+        raise DivergedError(k)
+
+
+def _run_outcomes(config: ExperimentConfig, trials: Sequence[int]) -> list[TrialOutcome]:
+    """Run a batch of trials and score each trial's final consensus."""
+    problems, result = _run_batch(config, trials, config.success)
     outcomes = []
-    diverged_at = result.ensemble.diverged_at
-    for trial, problem, k, point in zip(trials, problems, diverged_at, result.consensus):
+    for trial, problem, k, point in zip(trials, problems, result.ensemble.diverged_at,
+                                        result.consensus):
         if k >= 0:
-            reason = str(DivergedError(int(k)))
-            outcomes.append(TrialOutcome(trial, success=False, diverged=True, reason=reason))
+            outcomes.append(TrialOutcome(trial, False, True, str(DivergedError(int(k)))))
         else:
             success, reason = _score(problem, point, config.success)
-            outcomes.append(TrialOutcome(trial, success=success, consensus=point, reason=reason))
+            outcomes.append(TrialOutcome(trial, success, reason=reason, consensus=point))
     return outcomes
+
+
+def run_report(config: ExperimentConfig) -> dict:
+    """What ``cbo run`` reports of trial 0 of ``config``, run as a batch of
+    one: the final consensus, the steps, the best memory energy and the
+    distance to x*.  Raises DivergedError if the trial diverged."""
+    (problem,), result = _run_batch(config, [0])
+    _raise_if_diverged(result)
+    consensus = result.consensus[0]
+    return {"consensus": consensus.tolist(), "steps": result.n_steps,
+            "best_memory_energy": float(result.ensemble.memory_energies[0].min()),
+            "distance_to_minimizer": float(np.linalg.norm(consensus - problem.x_star))}
 
 
 def run_single_trial(config: ExperimentConfig, trial: int) -> TrialOutcome:
@@ -419,7 +445,8 @@ def decay_experiment(
     init: InitSpec = InitSpec(),
 ) -> DecayReport:
     """Fit the exponential decay rate of the empirical Lyapunov functional V
-    along one run, on the window where it exceeds eps.
+    along one run, a batch of one trial, on the window where it exceeds
+    eps.  Raises DivergedError if the run diverged.
 
     The run's observer evaluates V at the initial state and after every
     step until V first reaches eps (or is NaN): decay is only guaranteed
@@ -431,7 +458,7 @@ def decay_experiment(
     if not (0 <= vartheta < 1 and eps > 0):
         raise ConfigError("decay needs vartheta in [0, 1) and a positive eps")
     steps = horizon_steps(horizon, params.dt)
-    rng = RngStream(seed)
+    rng = RngStream(seed, [0])
     ens = init_ensemble(n_particles, objective.dimension, init, rng, objective)
     times, values = [], []
     ended = False
@@ -441,7 +468,7 @@ def decay_experiment(
         nonlocal ended, t_eps
         if ended:
             return
-        v = lyapunov_V(e, x_star).total
+        v = lyapunov_V(e, x_star).total[0]
         t = e.step_index * params.dt
         if v > eps:
             times.append(t)
@@ -450,7 +477,7 @@ def decay_experiment(
             ended = True
             t_eps = t if v <= eps else None
 
-    run(ens, params, Schedule(), objective, steps, rng, observe=observe)
+    _raise_if_diverged(run(ens, params, Schedule(), objective, steps, rng, observe=observe))
     times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
     # every value kept is above eps > 0, so the log-linear fit applies
     if values.size < 3:
@@ -465,17 +492,9 @@ def decay_experiment(
         if t_eps is not None:
             in_bracket = t_lower <= t_eps <= t_star
     return DecayReport(
-        fit=fit,
-        chi1=rates.chi1,
-        chi2=rates.chi2,
-        bracket=(lower, upper),
-        rate_above_lower=fit.rate >= lower,
-        times=times,
-        values=values,
-        t_eps=t_eps,
-        t_star=t_star,
-        t_lower=t_lower,
-        eps_time_in_bracket=in_bracket,
+        fit=fit, chi1=rates.chi1, chi2=rates.chi2, bracket=(lower, upper),
+        rate_above_lower=fit.rate >= lower, times=times, values=values, t_eps=t_eps,
+        t_star=t_star, t_lower=t_lower, eps_time_in_bracket=in_bracket,
     )
 
 

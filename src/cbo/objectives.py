@@ -235,6 +235,26 @@ def finite_diff_grad(obj: Objective, x: np.ndarray, h: float = 1e-6) -> np.ndarr
     return g
 
 
+def gradcheck(obj: Objective, points: int, h: float, rel_tol: float, seed: int) -> dict:
+    """What ``cbo gradcheck`` reports: the largest relative error of the
+    analytic gradient against :func:`finite_diff_grad` over ``points``
+    points drawn uniformly from [-2, 2]^d by ``PCG64(seed)``, and whether it
+    is below ``rel_tol``; a NaN error fails."""
+    if not (points >= 1 and 0 < h < math.inf and 0 < rel_tol < math.inf):
+        raise ConfigError("gradcheck needs points >= 1 and positive finite h and rel_tol")
+    gen = np.random.Generator(np.random.PCG64(seed))
+    errors = []
+    for _ in range(points):
+        x = gen.uniform(-2, 2, size=obj.dimension)
+        analytic = obj.gradients(x[None])[0]
+        numeric = finite_diff_grad(obj, x, h)
+        scale = max(np.linalg.norm(numeric), 1e-12)
+        errors.append(float(np.linalg.norm(analytic - numeric)) / scale)
+    worst = float(np.max(errors))  # NaN if any error is
+    return {"points": points, "max_rel_error": worst, "tolerance": rel_tol,
+            "passed": bool(worst < rel_tol)}
+
+
 class ToyStochasticObjective(Objective):
     """Mini-batched quadratic: E_batch(x) = ||x - c_batch||^2 with batch
     centers drawn from N(0, 0.25 I) and shifted to sum to zero, so the

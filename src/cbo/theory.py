@@ -194,6 +194,38 @@ def laplace_bound(
     return BoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 
+def check_bounds(params: CboParams, constants: AssumptionConstants, objective,
+                 x_star: np.ndarray, vartheta: float, eps: float, cases: int, seed: int) -> dict:
+    """What ``cbo check-bounds`` reports: the rates with and without memory,
+    T* from V0 = 1 when chi1 > 0, and how many of ``cases`` point clouds
+    drawn by ``PCG64(seed)`` around x* satisfy :func:`laplace_bound` on
+    ``objective``; a cloud failing the precondition E_r < E_inf is skipped."""
+    if constants.R0 < 0.1:
+        raise ConfigError("check-bounds draws radii from [0.1, R0]: theory.R0 must be at least 0.1")
+    rates, memoryless = chi_rates(params, constants), chi_rates_memoryless(params, constants)
+    out = {"chi1": rates.chi1, "chi2": rates.chi2, "chi1_memoryless": memoryless.chi1,
+           "chi2_memoryless": memoryless.chi2}
+    if rates.chi1 > 0:
+        out["t_star_from_V0_1"], out["t_lower_from_V0_1"] = time_horizon_star(
+            1.0, eps, vartheta, rates.chi1, rates.chi2)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    out["laplace_cases"] = out["laplace_holds"] = 0
+    for _ in range(cases):
+        n = int(gen.integers(5, 200))
+        pts = x_star + gen.uniform(-1.5, 1.5, size=(n, objective.dimension))
+        pts[gen.integers(n)] = x_star + gen.uniform(-0.05, 0.05, size=objective.dimension)
+        energies = objective.values(pts)
+        r = float(gen.uniform(0.1, constants.R0))
+        e_r = float(energies[np.max(np.abs(pts - x_star), axis=1) <= r].max())
+        if e_r >= constants.E_inf:
+            continue
+        q = float(gen.uniform(0, constants.E_inf - e_r)) or (constants.E_inf - e_r) / 2
+        alpha = float(gen.uniform(1.0, 1e3))
+        out["laplace_cases"] += 1
+        out["laplace_holds"] += laplace_bound(pts, energies, x_star, alpha, q, r, constants).holds
+    return out
+
+
 def mollifier_phi_r(x, y, x_star, r: float) -> float:
     """Compactly supported bump on Omega_r = {max(||x-x*||_inf, ||x-y||_inf)
     < r/2}, the product of per-coordinate classical mollifiers; 0 outside."""

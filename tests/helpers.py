@@ -1,4 +1,4 @@
-"""Test-only objectives."""
+"""Test-only objectives and stream inspection."""
 
 import numpy as np
 
@@ -20,3 +20,8 @@ class FunctionObjective(Objective):
         if self.grad_fn is None:
             raise NotImplementedError("no gradient supplied")
         return np.asarray(self.grad_fn(points), dtype=float)
+
+
+def generator_states(rng):
+    """Every generator's state of the ``RngStream`` ``rng``, per channel."""
+    return {c: [g.bit_generator.state for g in gens] for c, gens in rng._generators.items()}

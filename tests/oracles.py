@@ -1,13 +1,16 @@
-"""Single-point reference forms of the package objectives.
+"""Reference forms that the tests compare the package against.
 
-Each is written for one point x of shape (d,), independently of the batched
-``Objective`` classes in ``cbo.objectives``, which the tests compare against
-them.
+The objectives are written for one point x of shape (d,), independently of
+the batched ``Objective`` classes in ``cbo.objectives``.  ``unbatched_run``
+runs one trajectory without a trial axis, independently of the harness's
+batch construction.
 """
 
 import numpy as np
 
+from cbo.dynamics import init_ensemble, run
 from cbo.objectives import CsObjective
+from cbo.rng import RngStream
 
 
 def rastrigin(x: np.ndarray) -> float:
@@ -45,3 +48,16 @@ def cs_grad(inst: CsObjective, x: np.ndarray, smoothing_eps: float = 1e-8) -> np
                 reg = np.where(x == 0.0, 0.0, reg)
             g = g + inst.mu * reg
     return g
+
+
+def unbatched_run(config, observe=None):
+    """Trial 0 of the ``ExperimentConfig`` ``config`` as a single trajectory
+    without a trial axis: its problem and ensemble built on the one stream
+    ``RngStream(config.seed)``, and run with ``observe``.  Returns that
+    stream and the ``RunResult``."""
+    rng = RngStream(config.seed)
+    obj = config.objective_factory(rng).objective
+    ens = init_ensemble(config.n_particles, obj.dimension, config.init, rng, obj)
+    result = run(ens, config.params, config.schedule, obj, config.n_steps, rng,
+                 observe=observe, n_consensus=config.n_consensus)
+    return rng, result

@@ -198,16 +198,33 @@ class TestRunCommand:
         assert "configuration error" in caplog.text
         assert f"{key} must be at least 1" in caplog.text
 
-    def test_divergent_run_exits_runtime(self, tmp_path):
+    def assert_divergence_logged(self, tmp_path, caplog, command, params):
+        """``command`` exits 2 without output, logging the step the library
+        records for trial 0 of the same config."""
         path = write_config(
             tmp_path,
             {
                 "objective": {"kind": "sphere", "dimension": 2},
-                "params": {"lambda1": 1.0, "lambda3": 10.0, "dt": 5.0, "kappa": 0.2},
+                "params": params,
                 "experiment": {"n_particles": 5, "horizon_T": 5000.0, "trials": 1, "seed": 0},
             },
         )
-        assert main(["run", "--config", path]) == EXIT_RUNTIME
+        out = tmp_path / "result.json"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_RUNTIME
+        outcome = harness.run_single_trial(load_config(path).build_experiment(), 0)
+        assert outcome.diverged
+        assert re.fullmatch(r"diverged ensemble at step \d+", outcome.reason)
+        assert f"runtime failure: {outcome.reason}\n" in caplog.text
+        assert not out.exists()
+
+    def test_divergent_run_exits_runtime(self, tmp_path, caplog):
+        self.assert_divergence_logged(
+            tmp_path, caplog, "run", {"lambda1": 1.0, "lambda3": 10.0, "dt": 5.0, "kappa": 0.2})
+
+    def test_divergent_decay_exits_runtime(self, tmp_path, caplog):
+        # kappa * theta = 1 keeps chi1 positive, so the decay run starts
+        self.assert_divergence_logged(
+            tmp_path, caplog, "decay", {"lambda1": 1.0, "dt": 5.0, "kappa": 0.2, "theta": 5.0})
 
     def test_nonfinite_initial_energies_exit_runtime(self, tmp_path, monkeypatch, caplog):
         # +inf outside the box |x| < 1, which Gaussian initial positions leave

@@ -18,7 +18,6 @@ import cbo.rng
 from cbo.config import load_config
 from cbo.dynamics import (
     CboParams,
-    DivergedError,
     Ensemble,
     InitSpec,
     Schedule,
@@ -38,7 +37,7 @@ from cbo.objectives import (
     generate_cs_instance,
 )
 from cbo.rng import CHANNEL_CONSENSUS, CHANNEL_INIT, RngStream
-from helpers import FunctionObjective
+from helpers import FunctionObjective, generator_states
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -210,13 +209,23 @@ class TestStep:
         assert not np.allclose(ens.positions[:, 1], pts[:, 1])
 
     def test_divergence_guard(self):
+        """A trajectory without a trial axis that turns non-finite is frozen
+        at its state before that step, which ``diverged_at`` records, and a
+        run from there takes no step and reports a NaN consensus."""
         obj = Sphere(1)
         params = CboParams(lambda1=1.0, lambda3=1.0, dt=1e6, alpha=1e15, kappa=1e-6)
         ens = make_ensemble([[1.0], [2.0]], obj)
-        with pytest.raises(DivergedError) as err:
-            for _ in range(1000):
-                step(ens, params, obj, RngStream(0))
-        assert err.value.step_index >= 0
+        for k in range(1000):
+            before = copy.deepcopy(ens)
+            step(ens, params, obj, RngStream(0))
+            if not ens.active:
+                break
+        assert ens.diverged_at == k >= 1
+        for name in ("positions", "memories", "memory_energies"):
+            assert getattr(ens, name).tobytes() == getattr(before, name).tobytes()
+        result = run(ens, params, Schedule(), obj, 5, RngStream(0))
+        assert result.n_steps == 0
+        assert np.isnan(result.consensus).all()
 
     def test_smoothed_memory_rule(self):
         obj = Sphere(1)
@@ -245,9 +254,12 @@ class TestStep:
         obj = box_objective(1, 3.0)
         params = CboParams(lambda1=1.0, dt=0.5, alpha=1e15, beta=2.0, theta=0.1, kappa=10.0)
         ens = make_ensemble([[-1.0], [2.0]], obj)
-        with pytest.raises(DivergedError) as err:
-            step(ens, params, obj, RngStream(0))
-        assert err.value.step_index == 0
+        before = copy.deepcopy(ens)
+        step(ens, params, obj, RngStream(0))
+        assert ens.diverged_at == 0 and not ens.active
+        for name in ("positions", "memories", "memory_energies"):
+            np.testing.assert_array_equal(getattr(ens, name), getattr(before, name))
+        assert np.isnan(run(ens, params, Schedule(), obj, 1, RngStream(0)).consensus).all()
         # in a batch only that trial is frozen, at its state before the step
         batch = make_ensemble([[[-1.0], [2.0]], [[-1.0], [0.5]]], obj)
         before = copy.deepcopy(batch)
@@ -490,18 +502,15 @@ class TestRun:
         for t in range(8):
             rng = RngStream(3, t)
             ens = init_ensemble(20, 2, init, rng, obj)
-            try:
-                alone = run(ens, params, Schedule(), obj, 400, rng)
-            except DivergedError as err:
-                assert batch.ensemble.diverged_at[t] == err.step_index
-                assert np.all(np.isnan(batch.consensus[t]))
-                diverged += 1
-                continue
-            assert batch.ensemble.diverged_at[t] == -1
+            alone = run(ens, params, Schedule(), obj, 400, rng)
+            k = batch.ensemble.diverged_at[t]
+            assert k == alone.ensemble.diverged_at
+            assert np.isnan(batch.consensus[t]).all() == (k >= 0)
             assert batch.consensus[t].tobytes() == alone.consensus.tobytes()
             for name in ("positions", "memories", "memory_energies"):
                 got = getattr(batch.ensemble, name)[t]
                 assert got.tobytes() == getattr(alone.ensemble, name).tobytes()
+            diverged += k >= 0
         assert 0 < diverged < 8
 
 
@@ -752,14 +761,10 @@ PRODUCER_CASES = {
 }
 
 
-def _generator_states(rng):
-    return {c: [g.bit_generator.state for g in gens] for c, gens in rng._generators.items()}
-
-
 def _outcome(rng, result):
     ens = result.ensemble
     arrays = (ens.positions, ens.memories, ens.memory_energies, ens.diverged_at, result.consensus)
-    return [a.tobytes() for a in arrays], result.n_steps, _generator_states(rng)
+    return [a.tobytes() for a in arrays], result.n_steps, generator_states(rng)
 
 
 def _run_with_threshold(threshold, make, *args):
@@ -789,7 +794,7 @@ def _run_with_threshold(threshold, make, *args):
         try:
             out = _outcome(rng, go())
         except Exception as err:  # compared with the serial run's
-            out = (type(err), str(err), _generator_states(rng))
+            out = (type(err), str(err), generator_states(rng))
     return out, len(started)
 
 
@@ -904,7 +909,12 @@ class TestNoiseProducer:
 
         serial, _ = _run_with_threshold(math.inf, make, 2, 1, 200)
         produced, forks = _run_with_threshold(0, make, 2, 1, 200)
-        assert serial[0] is DivergedError
+        # recorded at step k, frozen at the state after k steps, NaN consensus
+        (*state, diverged_at, consensus), n_steps, _ = serial
+        k = int(np.frombuffer(diverged_at, dtype=np.int64)[0])
+        assert 0 <= k == n_steps - 1
+        assert np.isnan(np.frombuffer(consensus)).all()
+        assert _run_with_threshold(math.inf, make, 2, 1, k)[0][0][:3] == state
         assert produced == serial
         assert forks == (1 if TWO_CPUS else 0)
         _assert_no_child()
@@ -949,7 +959,7 @@ class TestNoiseProducer:
         serial = RngStream(0, range(2))
         for _ in range(2):
             serial.gaussians(CHANNEL_CONSENSUS, 3, 2)
-        assert _generator_states(rng) == _generator_states(serial)
+        assert generator_states(rng) == generator_states(serial)
 
     @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
     def test_a_failing_child_is_an_error_not_a_hang(self, monkeypatch):

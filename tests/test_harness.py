@@ -3,11 +3,13 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cbo.dynamics import CboParams, DivergedError, InitSpec, Schedule, init_ensemble, run, step
+from cbo.config import load_config
+from cbo.dynamics import CboParams, InitSpec, Schedule, init_ensemble, run, step
 from cbo.errors import ConfigError
 from cbo.harness import (
     CsSpec,
@@ -34,7 +36,10 @@ from cbo.objectives import (
 )
 from cbo.rng import CHANNEL_INIT, RngStream
 from cbo.theory import AssumptionConstants, lyapunov_V
-from helpers import FunctionObjective
+from helpers import FunctionObjective, generator_states
+from oracles import unbatched_run
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SPHERE_CONSTANTS = AssumptionConstants(eta=1.0, nu=0.5, R0=1.0, E_inf=100.0, C_grad=2.0)
 
@@ -297,8 +302,8 @@ class TestCsRecover:
             assert (outcome.success, outcome.reason) == (res.success, res.reason)
 
     def test_divergence_reports_step(self):
-        """A diverged trial is reported with the step at which the single
-        trajectory of the same trial raises DivergedError."""
+        """A diverged trial is reported with the step that the single
+        trajectory of the same trial records in its ``diverged_at``."""
         obj, x_star = generate_cs_instance(20, 12, 2, 0.03, 1.0, RngStream(3))
         # dt far above the gradient-flow stability limit: positions overflow
         cfg = fixed_instance_config(
@@ -310,12 +315,20 @@ class TestCsRecover:
         outcome = run_single_trial(cfg, 0)
         rng = RngStream(cfg.seed, 0)
         ens = init_ensemble(cfg.n_particles, obj.dimension, cfg.init, rng, obj)
-        with pytest.raises(DivergedError) as err:
-            run(ens, cfg.params, cfg.schedule, obj, cfg.n_steps, rng)
+        alone = run(ens, cfg.params, cfg.schedule, obj, cfg.n_steps, rng)
+        k = int(alone.ensemble.diverged_at)
+        assert 0 <= k == alone.n_steps - 1
+        assert np.isnan(alone.consensus).all()
+        # frozen at its state after k steps
+        rng = RngStream(cfg.seed, 0)
+        ens = init_ensemble(cfg.n_particles, obj.dimension, cfg.init, rng, obj)
+        before = run(ens, cfg.params, cfg.schedule, obj, k, rng).ensemble
+        assert before.positions.tobytes() == alone.ensemble.positions.tobytes()
+        assert before.memories.tobytes() == alone.ensemble.memories.tobytes()
         assert outcome.diverged
         assert not outcome.success
         assert outcome.consensus is None
-        assert outcome.reason == f"diverged ensemble at step {err.value.step_index}"
+        assert outcome.reason == f"diverged ensemble at step {k}"
 
     def test_fresh_instances_per_trial(self):
         cfg = sphere_config(trials=3, success=SuccessRule(kind="exact_sparse_recovery"))
@@ -518,6 +531,49 @@ class TestDecayExperiment:
                 Sphere(2), np.zeros(2), self.PARAMS, SPHERE_CONSTANTS,
                 **{"n_particles": 10, "horizon": 1.0, "vartheta": 0.25, **setting},
             )
+
+
+@pytest.mark.parametrize("name", ["sphere_run", "toy_minibatch", "decay"])
+def test_batch_of_one_equals_the_unbatched_oracle(monkeypatch, name):
+    """``cbo run``'s report (and for the decay config, ``decay_experiment``)
+    runs trial 0 as a batch of one, bit for bit the trajectory without a
+    trial axis: final state, consensus, steps, V track and every
+    generator's state after the run."""
+    cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
+    exp = cfg.build_experiment()
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append((args[5], run(*args, **kwargs)))  # the stream, the result
+        return runs[-1][1]
+
+    monkeypatch.setattr(cbo.harness, "run", recorded)
+    if name == "decay":
+        problem = exp.problem()
+        theory = cfg["theory"]
+        report = decay_experiment(
+            problem.objective, problem.x_star, exp.params, cfg.build_constants(),
+            exp.n_particles, exp.horizon_T, theory["vartheta"],
+            seed=exp.seed, eps=theory["eps"], init=exp.init,
+        )
+        track = []
+        rng, alone = unbatched_run(
+            exp, observe=lambda e: track.append(lyapunov_V(e, problem.x_star).total))
+        track = np.asarray(track)
+        cut = int(np.argmax(track <= theory["eps"]))
+        assert 0 < cut and report.values.tobytes() == track[:cut].tobytes()
+    else:
+        report = cbo.harness.run_report(exp)
+        rng, alone = unbatched_run(exp)
+        assert report["consensus"] == alone.consensus.tolist()
+    (batch_rng, batch), = runs
+    assert batch.ensemble.batch_shape == (1,)
+    for field in ("positions", "memories", "memory_energies"):
+        got = getattr(batch.ensemble, field)[0]
+        assert got.tobytes() == getattr(alone.ensemble, field).tobytes()
+    assert batch.consensus[0].tobytes() == alone.consensus.tobytes()
+    assert batch.n_steps == alone.n_steps == exp.n_steps
+    assert generator_states(batch_rng) == generator_states(rng)
 
 
 def test_alpha_doubling_past_the_floats_rejected_before_running():
