@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -21,8 +20,8 @@ from .rng import (
     CHANNEL_INIT,
     CHANNEL_MEMORY,
     CHANNEL_SUBSET,
-    STATE_BYTES,
     RngStream,
+    _Child,
     second_cpu_pays,
 )
 
@@ -513,45 +512,6 @@ def _splits(ens: Ensemble, params: CboParams, objective: Objective, rng: RngStre
     )
 
 
-def _fork_part(ens: Ensemble, rng: RngStream, channels: tuple[int, ...],
-               advance: Callable) -> tuple[int, dict[str, np.ndarray]] | None:
-    """Fork a child that calls ``advance(observe)`` to step ``ens`` and
-    leaves its step count, per-trial state and generator states of
-    ``channels`` in shared arrays; the child's pid and those arrays, or None
-    when no child could be started.  The child exits when its parent is
-    gone, and always through ``os._exit``."""
-    import mmap  # loaded on first use, as for the producer
-
-    likes = {"steps": np.empty((), np.int64), "states": np.empty(
-        len(channels) * len(rng.trials) * STATE_BYTES, np.uint8)}
-    likes.update((name, getattr(ens, name)) for name in _TRIAL_FIELDS)
-    offsets, size = {}, 0
-    for name, like in likes.items():
-        offsets[name] = size
-        size += -(-like.nbytes // 8) * 8  # every array 8-byte aligned
-    parent = os.getpid()
-    try:
-        buf = mmap.mmap(-1, size)
-        pid = os.fork()
-    except OSError:  # no memory or process to spare
-        return None
-    shared = {name: np.frombuffer(buf, like.dtype, like.size, offsets[name]).reshape(like.shape)
-              for name, like in likes.items()}
-    if pid:
-        return pid, shared
-    status = 1
-    try:
-        start = ens.step_index
-        advance(lambda e: os.getppid() != parent and os._exit(1))
-        shared["steps"][...] = ens.step_index - start
-        for name in _TRIAL_FIELDS:
-            shared[name][...] = getattr(ens, name)
-        shared["states"][:] = np.frombuffer(rng.pack_states(channels), np.uint8)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _split_steps(
     ens: Ensemble,
     params: CboParams,
@@ -585,28 +545,36 @@ def _split_steps(
         draws.append((CHANNEL_SUBSET, lambda r: _draw_subset(r, ens.n, n_consensus)))
     channels = tuple(c for c, _ in draws)
 
-    child = _fork_part(ensembles[1], streams[1], channels, lambda observe: advance(1, observe))
-    status = 0
-    failed = True
+    theirs = ensembles[1]
+
+    def stepped_in_child(shared, orphaned):
+        advance(1, lambda _: orphaned())
+        shared["steps"] = theirs.step_index - ens.step_index
+        for name in _TRIAL_FIELDS:
+            shared[name] = getattr(theirs, name)
+
+    fields = [(name, a.dtype, a.shape) for name, a in vars(theirs).items() if name in _TRIAL_FIELDS]
+    try:
+        child = _Child(fields + [("steps", np.int64)], stepped_in_child, streams[1], channels)
+    except OSError:  # no memory or process to spare
+        child = None
     try:
         advance(0)
-        failed = False
-    finally:
+    except BaseException:  # the child's work is not needed: it is killed
         if child is not None:
-            if failed:
-                import signal  # loaded on first use, as mmap
-
-                os.kill(child[0], signal.SIGKILL)
-            status = os.waitpid(child[0], 0)[1]
-    if child is None or status != 0:
-        advance(1)
-    else:
-        shared = child[1]
+            child.reap(kill=True)
+            child.close()
+        raise
+    if child is not None and child.reap(kill=False) == 0:
         for name in _TRIAL_FIELDS:
-            setattr(ensembles[1], name, shared[name].copy())
-        ensembles[1].step_index += int(shared["steps"])
-        if ensembles[1].step_index > ens.step_index:  # the child built and drew them
-            streams[1].unpack_states(channels, shared["states"].tobytes())
+            setattr(theirs, name, child.shared[name].copy())
+        theirs.step_index += int(child.shared["steps"])
+        if theirs.step_index > ens.step_index:  # the child built and drew them
+            child.hand_back()
+    else:  # its trials are stepped here
+        advance(1)
+    if child is not None:
+        child.close()
 
     last = max(part.step_index for part in ensembles)
     for part, stream in zip(ensembles, streams):
@@ -649,8 +617,10 @@ def run(
     :meth:`RngStream.producing`.  A batch of two or more trials without
     noise or observer, whose objective defines ``Objective.part`` wherever
     it overrides ``stack``, has its trailing floor(M/2) trials stepped in a
-    forked child.  Either way every number, and every generator's state
-    after a run that returns, are as if computed here in order."""
+    forked child.  Both jobs run in the one child class of ``cbo.rng``, with
+    its one hand-back of generator states.  Either way every number, and
+    every generator's state after a run that returns, are as if computed
+    here in order."""
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     ens = initial

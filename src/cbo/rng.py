@@ -12,13 +12,16 @@ child process on the second CPU (see :meth:`RngStream.producing`); the
 numbers, and each generator's state after the run, are those of drawing
 them in order here.  A run without noise may instead step part of its
 trials in a forked child, on the sub-stream :meth:`RngStream.part` of
-those trials (see :func:`cbo.dynamics.run`); :func:`second_cpu_pays` is
-the one rule for both.
+those trials (see :func:`cbo.dynamics.run`).  :func:`second_cpu_pays` is
+the one rule for both, and ``_Child`` the one mechanism: it forks, exits,
+kills and reaps the child, and hands its generators' states back through
+:meth:`RngStream.pack_states`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import sys
 import time
@@ -57,25 +60,6 @@ def _fill(gens: Sequence[np.random.Generator], out: np.ndarray) -> None:
         gen.standard_normal(out=rows)
 
 
-def _pack_state(gen: np.random.Generator) -> bytes:
-    state = gen.bit_generator.state
-    values = (state["state"]["state"], state["state"]["inc"], state["has_uint32"],
-              state["uinteger"])
-    return b"".join(v.to_bytes(16, "little") for v in values)
-
-
-def _unpack_state(gen: np.random.Generator, data: bytes) -> None:
-    state, inc, has_uint32, uinteger = (
-        int.from_bytes(data[i:i + 16], "little") for i in range(0, STATE_BYTES, 16)
-    )
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
-    }
-
-
 def second_cpu_pays(work: int) -> bool:
     """Whether a run with ``work`` units of work for a second process forks
     one: on Linux, with two or more CPUs in the affinity mask and at least
@@ -87,71 +71,125 @@ def second_cpu_pays(work: int) -> bool:
     )
 
 
-class _Producer:
-    """A forked child that draws ``n_steps`` slots of (..., n, d) normals per
-    channel from its copies of the channels' generators, into a ring of
-    slots in shared memory, and then leaves the generators' final states in
-    the ring's header.
+class _Child:
+    """A forked child process that runs ``body(shared, orphaned)`` once and
+    hands back what it computed through shared memory: the arrays named in
+    ``fields`` and the final states of ``rng``'s generators of ``channels``.
 
-    Two non-blocking semaphore eventfds hand slots over: ``free`` counts the
-    slots the child may fill and ``filled`` those the parent may read.  The
-    parent yields its CPU while the ring is empty, and the child sleeps
-    while it is full and exits when its parent is gone."""
+    ``fields`` lists ``(name, dtype[, shape])`` as for a structured
+    ``np.dtype``; they are laid out, aligned, in one anonymous shared map
+    made before the fork, and ``shared[name]`` is the array both processes
+    see.  The child leaves only through ``os._exit``, with status 0 when
+    ``body`` returned and 1 when it raised: returning or raising into the
+    caller would run the parent's code, ``finally`` blocks and ``atexit``
+    handlers a second time.  ``body`` calls ``orphaned()`` wherever it may
+    wait; it ends the child once the parent is gone, so that a parent killed
+    before it could reap leaves nothing running.  The parent reads
+    ``shared`` after :meth:`reap`, and :meth:`hand_back` sets its
+    generators to the child's.  Raises OSError when the map or the fork
+    cannot be made, after closing the map."""
 
-    def __init__(self, gens: dict[int, list[np.random.Generator]], block: tuple[int, ...],
-                 n_steps: int):
-        import mmap  # loaded on first use: importing cbo loads nothing for the producer
+    def __init__(self, fields: list[tuple], body: Callable[[np.ndarray, Callable[[], None]], None],
+                 rng: RngStream, channels: Sequence[int]):
+        import mmap  # loaded on first use: importing cbo loads nothing for a child
 
-        self.channels = tuple(gens)
-        self.gens = gens
-        self.n_steps = n_steps
-        slot_shape = (len(gens),) + block
-        slot_bytes = 8 * int(np.prod(slot_shape))
-        n_slots = min(n_steps, max(2, RING_BYTES // slot_bytes))
-        header = STATE_BYTES * sum(len(g) for g in gens.values())
-        self.taken = [0] * len(gens)  # slots the parent read, per channel
-        self.ready = 0  # slots the parent knows are filled
-        self.released = 0  # slots the parent handed back
-        self.status: int | None = None  # the child's wait status once reaped
-        self._map = mmap.mmap(-1, header + n_slots * slot_bytes)
-        self.header = memoryview(self._map)[:header]
-        self.slots = np.frombuffer(self._map, offset=header).reshape((n_slots,) + slot_shape)
-        self.free = os.eventfd(n_slots, os.EFD_SEMAPHORE | os.EFD_NONBLOCK)
-        self.filled = os.eventfd(0, os.EFD_SEMAPHORE | os.EFD_NONBLOCK)
+        self.rng, self.channels = rng, tuple(channels)
+        n_states = len(self.channels) * len(rng.trials) * STATE_BYTES
+        layout = np.dtype(fields + [("states", np.uint8, (n_states,))], align=True)
+        self.status: int | None = None  # the wait status once reaped
+        self._map = mmap.mmap(-1, layout.itemsize)
+        self.shared = np.frombuffer(self._map, layout, 1).reshape(())
         parent = os.getpid()
+
+        def orphaned() -> None:
+            if os.getppid() != parent:
+                raise SystemExit(1)
+
         try:
             self.pid = os.fork()
         except OSError:
             self.close()
             raise
         if self.pid == 0:
-            self._child(parent)
+            status = 1
+            try:
+                body(self.shared, orphaned)
+                self.shared["states"] = np.frombuffer(rng.pack_states(self.channels), np.uint8)
+                status = 0
+            finally:
+                os._exit(status)
 
-    def _child(self, parent: int) -> None:
-        """Fill the quota, leave the final states, and exit; never returns."""
-        status = 1
-        try:
-            for k in range(self.n_steps):
-                while True:
-                    try:
-                        os.eventfd_read(self.free)
-                        break
-                    except BlockingIOError:
-                        if os.getppid() != parent:
-                            os._exit(1)
-                        time.sleep(_FULL_SLEEP_S)
-                slot = self.slots[k % len(self.slots)]
-                for c, channel in enumerate(self.channels):
-                    _fill(self.gens[channel], slot[c])
-                os.eventfd_write(self.filled, 1)
-            at = 0
-            for channel in self.channels:
-                for gen in self.gens[channel]:
-                    self.header[at:at + STATE_BYTES] = _pack_state(gen)
-                    at += STATE_BYTES
-            status = 0
-        finally:
-            os._exit(status)
+    def poll(self, block: bool = False) -> int | None:
+        """The child's wait status once it has exited, else None; with
+        ``block``, waits for the exit."""
+        if self.status is None:
+            pid, status = os.waitpid(self.pid, 0 if block else os.WNOHANG)
+            self.status = status if pid else None
+        return self.status
+
+    def reap(self, kill: bool) -> int:
+        """Wait for the child to exit, after a SIGKILL if ``kill`` (the parent
+        no longer needs its work), and return its wait status."""
+        if kill and self.status is None:
+            import signal  # loaded on first use, as mmap
+
+            os.kill(self.pid, signal.SIGKILL)
+        return self.poll(block=True)
+
+    def hand_back(self) -> None:
+        """Set the parent's generators to the final states the child left."""
+        self.rng.unpack_states(self.channels, self.shared["states"].tobytes())
+
+    def close(self) -> None:
+        """Unmap the shared memory; no array of ``shared`` may be held."""
+        del self.shared
+        self._map.close()
+
+
+class _Producer:
+    """Draws ``n_steps`` slots of (..., n, d) normals per channel of
+    ``channels`` ahead, in a :class:`_Child` with copies of ``rng``'s
+    generators, into a ring of slots in its shared memory.
+
+    Two non-blocking semaphore eventfds hand slots over: ``free`` counts the
+    slots the child may fill and ``filled`` those the parent may read.  The
+    parent yields its CPU while the ring is empty, and the child sleeps
+    while it is full."""
+
+    def __init__(self, rng: RngStream, channels: Sequence[int], block: tuple[int, ...],
+                 n_steps: int):
+        self.channels = tuple(channels)
+        self.gens = {c: rng._per_trial(c) for c in self.channels}
+        self.n_steps = n_steps
+        slot_shape = (len(self.channels),) + block
+        n_slots = min(n_steps, max(2, RING_BYTES // (8 * math.prod(slot_shape))))
+        self.taken = [0] * len(self.channels)  # slots the parent read, per channel
+        self.ready = 0  # slots the parent knows are filled
+        self.released = 0  # slots the parent handed back
+        with contextlib.ExitStack() as undo:  # a failure releases what was acquired
+            self.free = os.eventfd(n_slots, os.EFD_SEMAPHORE | os.EFD_NONBLOCK)
+            undo.callback(os.close, self.free)
+            self.filled = os.eventfd(0, os.EFD_SEMAPHORE | os.EFD_NONBLOCK)
+            undo.callback(os.close, self.filled)
+            self.child = _Child([("slots", np.float64, (n_slots,) + slot_shape)],
+                                self._fill_slots, rng, self.channels)
+            undo.pop_all()
+        self.slots = self.child.shared["slots"]
+
+    def _fill_slots(self, shared: np.ndarray, orphaned: Callable[[], None]) -> None:
+        """The child's work: fill the quota, each slot once the parent freed it."""
+        slots = shared["slots"]
+        for k in range(self.n_steps):
+            while True:
+                try:
+                    os.eventfd_read(self.free)
+                    break
+                except BlockingIOError:
+                    orphaned()
+                    time.sleep(_FULL_SLEEP_S)
+            for c, channel in enumerate(self.channels):
+                _fill(self.gens[channel], slots[k % len(slots), c])
+            os.eventfd_write(self.filled, 1)
 
     def take(self, channel: int, out: np.ndarray) -> None:
         """Copy the next slot of ``channel`` into ``out``."""
@@ -166,9 +204,8 @@ class _Producer:
                 os.eventfd_read(self.filled)
                 self.ready += 1
             except BlockingIOError:
-                pid, status = os.waitpid(self.pid, os.WNOHANG)
-                if pid:
-                    self.status = status
+                status = self.child.poll()
+                if status is not None:
                     code = os.waitstatus_to_exitcode(status)
                     raise RuntimeError(f"noise producer exited early with status {code}")
                 os.sched_yield()
@@ -182,18 +219,9 @@ class _Producer:
         """Reap the child and leave every generator where drawing the slots
         the parent read would have left it: at the child's final states when
         the parent read the whole quota, else fast-forwarded here."""
-        if self.status is None:
-            if min(self.taken) < self.n_steps:
-                import signal  # loaded on first use, as mmap
-
-                os.kill(self.pid, signal.SIGKILL)
-            self.status = os.waitpid(self.pid, 0)[1]
-        if min(self.taken) == self.n_steps and self.status == 0:
-            at = 0
-            for channel in self.channels:
-                for gen in self.gens[channel]:
-                    _unpack_state(gen, bytes(self.header[at:at + STATE_BYTES]))
-                    at += STATE_BYTES
+        complete = min(self.taken) == self.n_steps
+        if self.child.reap(kill=not complete) == 0 and complete:
+            self.child.hand_back()
             return
         scratch = np.empty(self.slots.shape[2:])
         for channel, taken in zip(self.channels, self.taken):
@@ -203,9 +231,8 @@ class _Producer:
     def close(self) -> None:
         os.close(self.free)
         os.close(self.filled)
-        self.header.release()
         del self.slots
-        self._map.close()
+        self.child.close()
 
 
 class RngStream:
@@ -257,7 +284,9 @@ class RngStream:
     def pack_states(self, channels: Sequence[int]) -> bytes:
         """The states of every trial's generator of each of ``channels``,
         ``STATE_BYTES`` each, for :meth:`unpack_states` in another process."""
-        return b"".join(_pack_state(gen) for c in channels for gen in self._per_trial(c))
+        states = [gen.bit_generator.state for c in channels for gen in self._per_trial(c)]
+        return b"".join(v.to_bytes(16, "little") for s in states for v in (
+            s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]))
 
     def unpack_states(self, channels: Sequence[int], data: bytes) -> None:
         """Set the generators of ``channels`` to the states ``pack_states``
@@ -265,7 +294,11 @@ class RngStream:
         at = 0
         for c in channels:
             for gen in self._per_trial(c):
-                _unpack_state(gen, data[at:at + STATE_BYTES])
+                state, inc, has_uint32, uinteger = (int.from_bytes(data[i:i + 16], "little")
+                                                    for i in range(at, at + STATE_BYTES, 16))
+                gen.bit_generator.state = {"bit_generator": "PCG64",
+                                           "state": {"state": state, "inc": inc},
+                                           "has_uint32": has_uint32, "uinteger": uinteger}
                 at += STATE_BYTES
 
     def generator(self, channel: int) -> np.random.Generator:
@@ -306,11 +339,8 @@ class RngStream:
         if self._producer is None and second_cpu_pays(
             len(channels) * len(self.trials) * n * d * n_steps
         ):
-            gens = {c: self._per_trial(c) for c in channels}
-            try:
-                producer = _Producer(gens, self.batch_shape + (n, d), n_steps)
-            except OSError:  # no process to spare: draw here
-                pass
+            with contextlib.suppress(OSError):  # no process to spare: draw here
+                producer = _Producer(self, channels, self.batch_shape + (n, d), n_steps)
         if producer is None:
             yield
             return

@@ -1,4 +1,5 @@
 import copy
+import errno
 import math
 import os
 import signal
@@ -767,29 +768,28 @@ def _outcome(rng, result):
     return [a.tobytes() for a in arrays], result.n_steps, generator_states(rng)
 
 
+def _count_children(mp):
+    """Make ``mp`` record each child process that ``cbo.rng._Child`` starts,
+    by the names of the arrays it shares: ``slots`` for a noise producer,
+    ``positions`` and the other per-trial fields for a split part."""
+    started = []
+    start = cbo.rng._Child.__init__
+
+    def counted(self, *args, **kwargs):
+        start(self, *args, **kwargs)  # returns in the parent only
+        started.append(self.shared.dtype.names)
+
+    mp.setattr(cbo.rng._Child, "__init__", counted)
+    return started
+
+
 def _run_with_threshold(threshold, make, *args):
     """``make(*args)``'s run with the fork threshold at ``threshold``: its
     outcome or the exception it raised, the generator states, and the number
     of child processes it started, noise producers and split parts."""
-    started = []
-
-    class Counted(cbo.rng._Producer):
-        def __init__(self, *a, **k):
-            super().__init__(*a, **k)
-            started.append(self.pid)
-
-    fork_part = cbo.dynamics._fork_part
-
-    def counted_fork_part(*a, **k):
-        child = fork_part(*a, **k)
-        if child is not None:
-            started.append(child[0])
-        return child
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cbo.rng, "FORK_MIN_WORK", threshold)
-        mp.setattr(cbo.rng, "_Producer", Counted)
-        mp.setattr(cbo.dynamics, "_fork_part", counted_fork_part)
+        started = _count_children(mp)
         rng, go = make(*args)
         try:
             out = _outcome(rng, go())
@@ -978,6 +978,32 @@ class TestNoiseProducer:
         _assert_no_child()
 
     @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
+    def test_a_failed_start_leaks_no_descriptor(self, monkeypatch):
+        """When the second eventfd cannot be made, the first is closed and
+        the block draws here."""
+        eventfd, calls = os.eventfd, []
+
+        def every_second_fails(*args):
+            calls.append(args)
+            if len(calls) % 2 == 0:
+                raise OSError(errno.EMFILE, "too many open files")
+            return eventfd(*args)
+
+        monkeypatch.setattr(cbo.rng, "FORK_MIN_WORK", 0)
+        monkeypatch.setattr(os, "eventfd", every_second_fails)
+        fds = len(os.listdir("/proc/self/fd"))
+        rng, serial = RngStream(0, range(2)), RngStream(0, range(2))
+        for _ in range(5):
+            with rng.producing([CHANNEL_CONSENSUS], 3, 2, 4):
+                for _ in range(4):
+                    drawn = rng.gaussians(CHANNEL_CONSENSUS, 3, 2)
+                    assert drawn.tobytes() == serial.gaussians(CHANNEL_CONSENSUS, 3, 2).tobytes()
+        assert len(calls) == 10
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert generator_states(rng) == generator_states(serial)
+        _assert_no_child()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
     def test_child_exits_when_its_parent_dies(self):
         script = (
             "import os, signal\n"
@@ -990,7 +1016,7 @@ class TestNoiseProducer:
             "ens = init_ensemble(10, 2, InitSpec(), rng, obj)\n"
             "def observe(e):\n"
             "    if e.step_index == 1:\n"
-            "        print(rng._producer.pid, flush=True)\n"
+            "        print(rng._producer.child.pid, flush=True)\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "run(ens, CboParams(sigma1=0.5), Schedule(), obj, 10**6, rng, observe=observe)\n"
         )
@@ -1095,13 +1121,12 @@ class TestSplitRun:
         quiet = SPLIT_CASES["cs-exact-memory"]
         started = {}
         for name, make, m in (("noisy", noisy, 3), ("one trial", quiet, 1)):
-            started[name] = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cbo.rng, "FORK_MIN_WORK", 0)
-                mp.setattr(cbo.dynamics, "_fork_part",
-                           lambda *a: started[name].append(a) or None)
+                started[name] = _count_children(mp)
                 make(0, m, 20)[1]()
-        assert started == {"noisy": [], "one trial": []}
+        # the noisy batch starts a noise producer and no split part
+        assert started == {"noisy": [("slots", "states")] if TWO_CPUS else [], "one trial": []}
         _assert_no_child()
 
     def test_objective_that_stacks_without_its_own_part_is_not_split(self):
@@ -1210,14 +1235,18 @@ class TestSplitRun:
 
     @pytest.mark.skipif(not TWO_CPUS, reason="the split needs Linux and two CPUs")
     def test_a_failed_fork_steps_every_trial_here(self, monkeypatch):
+        """With no process to spare, a split run steps every trial here and
+        a noisy run draws its noise here."""
+
         def no_fork():
             raise BlockingIOError("no process to spare")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        make = SPLIT_CASES["toy-minibatch"]
-        serial, _ = _run_with_threshold(math.inf, make, 6, 4, 30)
-        split, forks = _run_with_threshold(0, make, 6, 4, 30)
-        assert split == serial and forks == 0
+        for make in (SPLIT_CASES["toy-minibatch"], PRODUCER_CASES["batched-exact-memory"]):
+            serial, _ = _run_with_threshold(math.inf, make, 6, 4, 30)
+            unforked, forks = _run_with_threshold(0, make, 6, 4, 30)
+            assert unforked == serial and forks == 0
+        _assert_no_child()
 
     @pytest.mark.skipif(not TWO_CPUS, reason="the split needs Linux and two CPUs")
     def test_child_exits_when_its_parent_dies(self):

@@ -33,3 +33,20 @@ def test_imports_go_down_the_layers_and_are_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
     assert upward == [], f"{path.stem} imports from modules above it: {upward}"
     assert unused == [], f"{path.stem} imports names it does not use: {unused}"
+
+
+def test_only_rng_starts_kills_or_reaps_a_process():
+    """One class in ``cbo.rng`` owns a forked child's life: its fork, its
+    exit, its kill and its reaping are each written once, there."""
+    lifecycle = {"fork", "_exit", "kill", "waitpid"}
+    calls = sorted(
+        (path.stem, node.func.attr)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "os"
+        and node.func.attr in lifecycle
+    )
+    assert calls == [("rng", name) for name in sorted(lifecycle)]
