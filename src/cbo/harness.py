@@ -460,6 +460,8 @@ def decay_experiment(
     steps = horizon_steps(horizon, params.dt)
     rng = RngStream(seed, [0])
     ens = init_ensemble(n_particles, objective.dimension, init, rng, objective)
+    # x* laid out as the positions, so V's difference is one elementwise pass
+    x_star = np.broadcast_to(np.asarray(x_star, dtype=float), ens.positions.shape).copy()
     times, values = [], []
     ended = False
     t_eps = None

@@ -152,6 +152,31 @@ class TestCsEval:
             else:
                 assert getattr(got, name) == value
 
+    def test_transpose_travels_with_A(self):
+        """``At`` is a C-contiguous A^T after construction, ``stack`` and
+        ``part``, and each part of a stacked batch gives the values,
+        residuals and gradients of its trials' own objectives byte for
+        byte."""
+        objs = [generate_cs_instance(9, 5, 2, 0.1, 0.5, RngStream(4, t))[0] for t in range(4)]
+        stacked = CsObjective.stack(objs)
+        parts = [stacked.part(slice(t, t + 1)) for t in range(4)]
+        for obj in [*objs, stacked, *parts, stacked.part(slice(1, 3))]:
+            assert obj.At.flags.c_contiguous
+            assert np.array_equal(obj.At, obj.A.mT)
+        pts = np.random.Generator(np.random.PCG64(6)).standard_normal((4, 15, 9))
+        pts[0, 0, :2] = 0.0
+        for t, (own, part) in enumerate(zip(objs, parts)):
+            own_values, own_residual = own.values(pts[t], with_residual=True)
+            part_values, part_residual = part.values(pts[t : t + 1], with_residual=True)
+            for got, want in (
+                (part_values[0], own_values),
+                (part_residual[0], own_residual),
+                (part.gradients(pts[t : t + 1])[0], own.gradients(pts[t])),
+                (part.gradients(pts[t : t + 1], residual=part_residual)[0],
+                 own.gradients(pts[t], residual=own_residual)),
+            ):
+                assert got.tobytes() == want.tobytes()
+
     def test_unstacked_objectives_are_their_own_parts(self):
         cs, _ = generate_cs_instance(7, 4, 2, 0.05, 0.5, RngStream(0))
         assert cs.part(slice(1, 2)) is cs
@@ -216,7 +241,7 @@ class TestCsGrad:
         pts[..., 0, :3] = -0.0
         # the out-of-place expressions, in their order of operations
         mu, A, b = obj.mu, obj.A, obj.b
-        residual = pts @ A.mT - b[..., None, :]
+        residual = pts @ obj.At - b[..., None, :]
         values = 0.5 * np.einsum("...j,...j->...", residual, residual) + mu * np.sum(
             np.abs(pts) ** p, axis=-1
         )
@@ -224,8 +249,7 @@ class TestCsGrad:
         if p == 1.0:
             grads = grads + mu * np.sign(pts)
         else:
-            reg = np.sign(pts) * p * (np.abs(pts) + CS_SMOOTHING_EPS) ** (p - 1.0)
-            grads = grads + mu * reg
+            grads = grads + np.sign(pts) * ((p * mu) / np.sqrt(np.abs(pts) + CS_SMOOTHING_EPS))
 
         got_values, got_residual = obj.values(pts, with_residual=True)
         for got, want in (
