@@ -6,7 +6,7 @@ from __future__ import annotations
 import ctypes
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -40,11 +40,11 @@ def _keep_freed_heap() -> None:
     this call, but the benchmark process took about 35 (0.9-1.1 million per
     20 s run, against 60 thousand with it) and its wall time per cell was
     0.77-0.87 s against 0.66-0.73 s with it, in five interleaved pairs on a
-    2-vCPU Xeon VM.  When ``run`` splits that batch over two processes,
-    with (2, 100, 50) and (1, 100, 50) temporaries, it made no measurable
-    difference there; it stays for the single-process layout of a one-CPU
-    host.  The values set are the caps that glibc's own adaptive
-    thresholds reach on 64-bit hosts."""
+    2-vCPU Xeon VM.  Pinned to one CPU (``taskset -c 0``), the cell read
+    0.53-0.55 s with it and 0.81-0.82 s without (three pairs); on two CPUs,
+    where ``run`` splits the batch into (2, 100, 50) and (1, 100, 50) parts,
+    20 pairs did not resolve a difference.  The values set are the caps
+    that glibc's own adaptive thresholds reach on 64-bit hosts."""
     if not sys.platform.startswith("linux"):
         return
     try:
@@ -119,11 +119,6 @@ class Ensemble:
     without them is a single trajectory.  Per trial, ``active`` marks the
     trials still advancing and ``diverged_at`` the step at which a trial
     turned non-finite (-1 while it has not).
-
-    ``residual`` is the one ``objective.values_and_residual`` returned at
-    ``positions`` (see ``Objective``), handed from one ``step`` to the next
-    so that the gradients need not compute it again; None when there is
-    none.  Whoever changes ``positions`` outside ``step`` sets it to None.
     """
 
     positions: np.ndarray
@@ -132,7 +127,6 @@ class Ensemble:
     step_index: int = 0
     active: np.ndarray | None = None
     diverged_at: np.ndarray | None = None
-    residual: np.ndarray | None = None
 
     def __post_init__(self):
         if self.positions.ndim < 2 or self.positions.shape != self.memories.shape:
@@ -311,7 +305,8 @@ def step(
     rng: RngStream,
     batch: int | np.ndarray | None = None,
     n_consensus: int | None = None,
-) -> Ensemble:
+    residual: np.ndarray | None = None,
+) -> np.ndarray | None:
     """One Euler-Maruyama update of positions followed by the memory update.
 
     The consensus point is computed from the memories Y, with optional random
@@ -321,7 +316,12 @@ def step(
     A trial whose positions or energies turn non-finite in this step is
     frozen at its state before it, and the step is recorded in its
     ``diverged_at``, with or without a trial axis.  Frozen trials are never
-    written again.  Mutates and returns ``ens``.
+    written again.  Mutates ``ens``.
+
+    The gradients reuse ``residual``, the residual of ``objective`` at
+    ``ens.positions`` (see ``Objective``), unless there is a mini-batch.
+    Returns the residual of the new positions when the next step may reuse
+    it (gradients needed, no mini-batch, no trial frozen), else None.
     """
     k = ens.step_index
     x = ens.positions
@@ -329,9 +329,6 @@ def step(
     e_y = ens.memory_energies
     dt = params.dt
     needs_grads = params.lambda3 != 0.0 or params.sigma3 != 0.0
-    # the residual of the new positions, for the next step's gradients; it
-    # is kept only for the full objective (no mini-batch)
-    handover = needs_grads and batch is None
 
     # non-finite values are caught by the per-trial checks below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -355,10 +352,10 @@ def step(
             drift += params.lambda2 * x_y
         grads = None
         if needs_grads:
-            if ens.residual is None or batch is not None:
+            if residual is None or batch is not None:
                 grads = objective.gradients(x, batch)
             else:
-                grads = objective.gradients(x, batch, ens.residual)
+                grads = objective.gradients(x, batch, residual)
             if params.lambda3 != 0.0:
                 drift += params.lambda3 * grads
 
@@ -375,11 +372,10 @@ def step(
             z = rng.gaussians(CHANNEL_GRADIENT, ens.n, ens.d)
             x_new += _scaled_noise(grads, z, params.diffusion, params.sigma3 * sqrt_dt)
 
-        new_residual = None
-        if handover:
+        if needs_grads and batch is None:
             e_new, new_residual = objective.values_and_residual(x_new, batch)
         else:
-            e_new = objective.values(x_new, batch)
+            e_new, new_residual = objective.values(x_new, batch), None
         ok = ok & np.isfinite(x_new).all(axis=(-2, -1)) & np.isfinite(e_new).all(axis=-1)
         if not params.uses_exact_memory:
             s = memory_switch(e_new, e_y, params.beta, params.theta)
@@ -394,8 +390,6 @@ def step(
     active = None if ens.active.all() else ens.active
 
     ens.positions = _unless_frozen(active, x_new, x)
-    # a frozen trial keeps its old positions, which new_residual does not describe
-    ens.residual = new_residual if active is None else None
     if params.uses_exact_memory:
         if batch is not None:
             ens.memory_energies = _unless_frozen(active, e_y, ens.memory_energies)
@@ -404,7 +398,8 @@ def step(
         ens.memories = _unless_frozen(active, y_new, y)
         ens.memory_energies = _unless_frozen(active, e_y_new, ens.memory_energies)
     ens.step_index = k + 1
-    return ens
+    # a frozen trial keeps its old positions, which new_residual does not describe
+    return new_residual if active is None else None
 
 
 @dataclass(frozen=True)
@@ -469,7 +464,7 @@ def _noise_channels(params: CboParams, schedule: Schedule, last_step: int) -> tu
 
 
 # the per-trial state of an ensemble, the part a split run hands back
-_TRIAL_FIELDS = ("positions", "memories", "memory_energies", "active", "diverged_at")
+_TRIAL_FIELDS = tuple(f.name for f in fields(Ensemble) if f.name != "step_index")
 
 
 def _steps(
@@ -484,6 +479,7 @@ def _steps(
 ) -> None:
     """The step loop of ``run``: up to ``max_steps`` steps, until every
     trial has diverged, with ``observe`` called after each."""
+    residual = None
     for _ in range(max_steps):
         if not ens.active.any():
             break
@@ -491,7 +487,7 @@ def _steps(
         batch = None
         if objective.n_batches > 1:
             batch = _draw_batch(rng, objective.n_batches)
-        step(ens, step_params, objective, rng, batch=batch, n_consensus=n_consensus)
+        residual = step(ens, step_params, objective, rng, batch, n_consensus, residual)
         if observe is not None:
             observe(ens)
 
@@ -553,9 +549,9 @@ def _split_steps(
         for name in _TRIAL_FIELDS:
             shared[name] = getattr(theirs, name)
 
-    fields = [(name, a.dtype, a.shape) for name, a in vars(theirs).items() if name in _TRIAL_FIELDS]
+    layout = [(name, a.dtype, a.shape) for name, a in vars(theirs).items() if name in _TRIAL_FIELDS]
     try:
-        child = _Child(fields + [("steps", np.int64)], stepped_in_child, streams[1], channels)
+        child = _Child(layout + [("steps", np.int64)], stepped_in_child, streams[1], channels)
     except OSError:  # no memory or process to spare
         child = None
     try:
@@ -585,7 +581,6 @@ def _split_steps(
     for name in _TRIAL_FIELDS:
         setattr(ens, name, np.concatenate([getattr(part, name) for part in ensembles]))
     ens.step_index = last
-    ens.residual = None
 
 
 def run(

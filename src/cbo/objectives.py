@@ -113,14 +113,13 @@ class CsObjective(Objective):
     singular factor |x|^(-1/2) is capped by adding eps = ``CS_SMOOTHING_EPS``
     inside, and sign(0) = 0 again gives gradient 0 at exactly 0.
 
-    Its residual ``x A^T - b`` of shape (..., N, m) comes from
-    ``values(points, batch, with_residual=True)``, which
-    ``values_and_residual`` calls, and ``gradients(points, batch,
-    residual)`` reuses it.  Both work in place on their own temporaries, in
-    the order of operations of the expressions ``r = x @ At - b``, ``0.5 *
-    r.r + mu * sum(|x|**p)`` and ``r @ A + mu * sign(x)`` (p=1) or ``r @ A
-    + sign(x) * ((p * mu) / sqrt(|x| + eps))`` (p=1/2), so they are
-    bit-identical to them.  The p=1/2 form needs one ``sqrt`` where
+    ``values_and_residual`` computes the energies with their residual ``x
+    A^T - b`` (..., N, m), ``values`` returns its energies, and
+    ``gradients(points, batch, residual)`` reuses the residual.  Both work
+    in place on their own temporaries, in the order of operations of the
+    expressions ``r = x @ At - b``, ``0.5 * r.r + mu * sum(|x|**p)`` and
+    ``r @ A + mu * sign(x)`` (p=1) or ``r @ A + sign(x) * ((p * mu) /
+    sqrt(|x| + eps))`` (p=1/2), so they are bit-identical to them.  The p=1/2 form needs one ``sqrt`` where
     ``(|x| + eps)**(p - 1)`` needs the general ``pow``; the two differ by at
     most 2 ulp.
     """
@@ -164,7 +163,10 @@ class CsObjective(Objective):
         r -= self.b[..., None, :]
         return r
 
-    def values(self, points, batch=None, with_residual=False):
+    def values(self, points, batch=None):
+        return self.values_and_residual(points, batch)[0]
+
+    def values_and_residual(self, points, batch=None):
         points = np.asarray(points, dtype=float)
         residual = self._residual(points)
         e = np.einsum("...j,...j->...", residual, residual)
@@ -172,10 +174,7 @@ class CsObjective(Objective):
         a = np.abs(points)
         a **= self.p
         e += self.mu * a.sum(axis=-1)
-        return (e, residual) if with_residual else e
-
-    def values_and_residual(self, points, batch=None):
-        return self.values(points, batch, with_residual=True)
+        return e, residual
 
     def gradients(self, points, batch=None, residual=None):
         points = np.asarray(points, dtype=float)

@@ -77,17 +77,17 @@ class _Child:
     ``fields`` and the final states of ``rng``'s generators of ``channels``.
 
     ``fields`` lists ``(name, dtype[, shape])`` as for a structured
-    ``np.dtype``; they are laid out, aligned, in one anonymous shared map
-    made before the fork, and ``shared[name]`` is the array both processes
-    see.  The child leaves only through ``os._exit``, with status 0 when
-    ``body`` returned and 1 when it raised: returning or raising into the
-    caller would run the parent's code, ``finally`` blocks and ``atexit``
-    handlers a second time.  ``body`` calls ``orphaned()`` wherever it may
-    wait; it ends the child once the parent is gone, so that a parent killed
-    before it could reap leaves nothing running.  The parent reads
-    ``shared`` after :meth:`reap`, and :meth:`hand_back` sets its
-    generators to the child's.  Raises OSError when the map or the fork
-    cannot be made, after closing the map."""
+    ``np.dtype``; they are laid out, aligned, in one anonymous shared map made
+    before the fork, and ``shared[name]`` is the array both processes see.
+    The child leaves only through ``os._exit``, with status 0 when ``body``
+    returned and 1 when it raised (an ``Exception`` also writes its traceback
+    to stderr): returning or raising into the caller would run the parent's
+    code, ``finally`` blocks and ``atexit`` handlers a second time.  ``body``
+    calls ``orphaned()`` wherever it may wait; it ends the child once the
+    parent is gone, so that a parent killed before it could reap leaves
+    nothing running.  The parent reads ``shared`` after :meth:`reap`, and
+    :meth:`hand_back` sets its generators to the child's.  Raises OSError when
+    the map or the fork cannot be made, after closing the map."""
 
     def __init__(self, fields: list[tuple], body: Callable[[np.ndarray, Callable[[], None]], None],
                  rng: RngStream, channels: Sequence[int]):
@@ -116,6 +116,11 @@ class _Child:
                 body(self.shared, orphaned)
                 self.shared["states"] = np.frombuffer(rng.pack_states(self.channels), np.uint8)
                 status = 0
+            except Exception:  # the parent sees only the status: the cause goes to stderr
+                import traceback
+
+                traceback.print_exc()
+                sys.stderr.flush()
             finally:
                 os._exit(status)
 

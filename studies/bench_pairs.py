@@ -12,9 +12,12 @@ at afterwards.  With ``--runpy`` each run is started through
 the interpreter's heap differently.
 
 ``--out`` receives the runs and, per workload and end-to-end metric of
-BENCHMARK.json, each side's quartiles and, against the first side, the
-median ratio, the number of seeds it won and the first side's quartile
-spread.
+BENCHMARK.json, each side's quartiles and, against every side listed
+before it, the median ratio, the number of seeds it won and that side's
+quartile spread.  With ``--side parent=… --side copy=… --side change=…``,
+where ``copy`` is a ``git archive`` of the parent, the change reads
+against the parent and against the copy, and the copy against the parent:
+the offset two identical trees show.
 """
 
 from __future__ import annotations
@@ -67,16 +70,16 @@ def summary(runs: list[dict], sides: list[str], metrics: list[dict]) -> dict:
                 if len(vals) >= 2:
                     q1, med, q3 = quantiles(vals, n=4, method="inclusive")
                     stats[side] = {"q1": q1, "median": med, "q3": q3, "runs": vals}
-            base = sides[0]
-            for side in sides[1:]:
-                if side not in stats or base not in stats:
-                    continue
-                common = values[base].keys() & values[side].keys()
-                wins = sum((values[side][s] < values[base][s]) == lower for s in common
-                           if values[side][s] != values[base][s])
-                stats[side]["over_" + base] = stats[side]["median"] / stats[base]["median"]
-                stats[side]["wins_vs_" + base] = f"{wins}/{len(common)}"
-                stats[side][base + "_iqr"] = stats[base]["q3"] - stats[base]["q1"]
+            for i, base in enumerate(sides):
+                for side in sides[i + 1:]:
+                    if side not in stats or base not in stats:
+                        continue
+                    common = values[base].keys() & values[side].keys()
+                    wins = sum((values[side][s] < values[base][s]) == lower for s in common
+                               if values[side][s] != values[base][s])
+                    stats[side]["over_" + base] = stats[side]["median"] / stats[base]["median"]
+                    stats[side]["wins_vs_" + base] = f"{wins}/{len(common)}"
+                    stats[side][base + "_iqr"] = stats[base]["q3"] - stats[base]["q1"]
             entry["metrics"][name] = stats
         out[workload] = entry
     return out

@@ -524,11 +524,10 @@ class BoxedCs(CsObjective):
         self.bound = bound
         self.handed = []
 
-    def values(self, points, batch=None, with_residual=False):
-        out = super().values(points, batch, with_residual)
-        energies = out[0] if with_residual else out
+    def values_and_residual(self, points, batch=None):
+        energies, residual = super().values_and_residual(points, batch)
         energies[np.abs(points).max(axis=-1) >= self.bound] = np.inf
-        return out
+        return energies, residual
 
     def gradients(self, points, batch=None, residual=None):
         self.handed.append(residual is not None)
@@ -542,9 +541,22 @@ class RecomputingCs(BoxedCs):
         return super().gradients(points, batch)
 
 
+def _recording_steps(monkeypatch):
+    """Make ``monkeypatch`` record what each ``step`` of ``run`` returns."""
+    returned, real_step = [], cbo.dynamics.step
+
+    def recorded(*args, **kwargs):
+        returned.append(real_step(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cbo.dynamics, "step", recorded)
+    return returned
+
+
 class TestResidualHandover:
-    """``step`` hands the residual of the new positions to the next step's
-    gradients, with the same results as recomputing it."""
+    """``step`` returns the residual of the new positions, which ``run``
+    hands to the next step's gradients, with the same results as
+    recomputing it."""
 
     STEPS = 60
     PARAMS = CboParams(lambda1=1.0, lambda3=0.5, sigma1=0.7, alpha=30.0, dt=0.05, kappa=20.0)
@@ -567,8 +579,10 @@ class TestResidualHandover:
         [(0, None, np.inf), (range(4), 5, np.inf), (range(6), None, 1.5)],
         ids=["single", "subset", "diverging"],
     )
-    def test_handed_over_equals_recomputed(self, trials, n_consensus, bound):
+    def test_handed_over_equals_recomputed(self, trials, n_consensus, bound, monkeypatch):
+        returned = _recording_steps(monkeypatch)
         handed, obj = self.cs_run(BoxedCs, trials, n_consensus, bound)
+        returned = returned[:]
         recomputed, _ = self.cs_run(RecomputingCs, trials, n_consensus, bound)
         for name in ("positions", "memories", "memory_energies", "diverged_at"):
             got, want = getattr(handed.ensemble, name), getattr(recomputed.ensemble, name)
@@ -576,27 +590,70 @@ class TestResidualHandover:
             assert got.tobytes() == want.tobytes()
         assert handed.consensus.tobytes() == recomputed.consensus.tobytes()
 
-        # step 0 has no residual yet; from the first frozen trial on, none is
-        # handed over
+        # step 0 has no residual yet; each later step is handed what the one
+        # before returned, which is None from the first frozen trial on
         diverged = handed.ensemble.diverged_at
         first = diverged[diverged >= 0].min() if np.any(diverged >= 0) else self.STEPS - 1
         assert obj.handed == [False] + [True] * first + [False] * (self.STEPS - 1 - first)
+        assert obj.handed == [False] + [r is not None for r in returned[:-1]]
         if bound < np.inf:
             assert 0 < first < self.STEPS - 1 and np.any(diverged < 0)
-            assert handed.ensemble.residual is None
+            assert returned[-1] is None
         else:
-            assert handed.ensemble.residual.tobytes() == (
-                obj._residual(handed.ensemble.positions).tobytes()
-            )
+            assert returned[-1].tobytes() == obj._residual(handed.ensemble.positions).tobytes()
 
     def test_no_handover_without_gradients_or_with_a_mini_batch(self):
         cs, _ = generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(1))
         obj = BoxedCs(cs.A, cs.b, cs.mu, cs.p)
         ens = init_ensemble(12, 10, InitSpec(), RngStream(1), obj)
-        step(ens, replace(self.PARAMS, lambda3=0.0), obj, RngStream(1))
-        assert ens.residual is None
-        step(ens, self.PARAMS, obj, RngStream(1), batch=0)
-        assert ens.residual is None and obj.handed == [False]
+        no_grads = replace(self.PARAMS, lambda3=0.0)
+        assert step(ens, no_grads, obj, RngStream(1), residual=obj._residual(ens.positions)) is None
+        residual = obj._residual(ens.positions)
+        assert step(ens, self.PARAMS, obj, RngStream(1), batch=0, residual=residual) is None
+        assert obj.handed == [False]
+
+    def cs_batch(self, seed, params, schedule, steps):
+        """A three-trial sparse-recovery batch run ``steps`` steps: its
+        ensemble, objective and stream."""
+        rng = RngStream(seed, range(3))
+        obj = CsObjective.stack(
+            [generate_cs_instance(10, 5, 2, 0.05, 0.5, RngStream(seed, t))[0] for t in rng.trials]
+        )
+        ens = init_ensemble(12, 10, InitSpec("uniform", low=-0.5, high=0.5), rng, obj)
+        run(ens, params, schedule, obj, steps, rng)
+        return ens, obj, rng
+
+    def test_reassigned_state_steps_as_a_fresh_ensemble(self):
+        """An ensemble whose positions, memories and memory energies are
+        reassigned between two ``run`` calls steps on as a new ``Ensemble``
+        built from those arrays: nothing of the old positions is reused."""
+        moved, obj, rng = self.cs_batch(2, self.PARAMS, Schedule(), 5)
+        assert moved.active.all()
+        moved.positions += 0.5
+        moved.memories = moved.positions.copy()
+        moved.memory_energies = obj.values(moved.memories)
+        _, twin_obj, twin_rng = self.cs_batch(2, self.PARAMS, Schedule(), 5)
+        fresh = Ensemble(moved.positions.copy(), moved.memories.copy(),
+                         moved.memory_energies.copy(), step_index=moved.step_index)
+        got = run(moved, self.PARAMS, Schedule(), obj, 5, rng)
+        want = run(fresh, self.PARAMS, Schedule(), twin_obj, 5, twin_rng)
+        assert _outcome(rng, got) == _outcome(twin_rng, want)
+
+    @pytest.mark.parametrize("sigma1", [0.7, 0.0], ids=["noise-producer", "split"])
+    def test_two_runs_continue_as_one(self, sigma1, monkeypatch):
+        """``run`` for k steps and then for T - k more equals one ``run`` of
+        T steps, across epochs of a schedule.  With the fork threshold at 0,
+        each run on two CPUs forks a noise producer or splits the batch."""
+        monkeypatch.setattr(cbo.rng, "FORK_MIN_WORK", 0)
+        params = replace(self.PARAMS, sigma1=sigma1)
+        schedule = Schedule("double_per_epoch", "log2_cooling", epoch_length=7)
+        whole, _, whole_rng = self.cs_batch(3, params, schedule, self.STEPS)
+        parts, obj, parts_rng = self.cs_batch(3, params, schedule, 23)
+        last = run(parts, params, schedule, obj, self.STEPS - 23, parts_rng)
+        assert last.n_steps == self.STEPS - 23 and parts.step_index == whole.step_index
+        for name in ("positions", "memories", "memory_energies", "diverged_at"):
+            assert getattr(parts, name).tobytes() == getattr(whole, name).tobytes()
+        assert generator_states(parts_rng) == generator_states(whole_rng)
 
 
 class TwoMethodSphere(Objective):
@@ -620,12 +677,12 @@ class TestUserObjective:
         [dict(kappa=20.0), dict(beta=30.0, theta=0.5, kappa=5.0)],
         ids=["exact", "smoothed"],
     )
-    def test_equals_sphere_bit_for_bit(self, trials, memory):
+    def test_equals_sphere_bit_for_bit(self, trials, memory, monkeypatch):
         params = CboParams(
             lambda1=1.0, lambda3=0.3, sigma1=0.4, sigma3=0.2, alpha=30.0, dt=0.05, **memory
         )
         assert params.uses_exact_memory == ("beta" not in memory)
-        results = []
+        returned, results = _recording_steps(monkeypatch), []
         for obj in (TwoMethodSphere(3), Sphere(3)):
             rng = RngStream(5, trials)
             ens = init_ensemble(15, 3, InitSpec(mean=1.0), rng, obj)
@@ -635,7 +692,7 @@ class TestUserObjective:
             got, want = getattr(user.ensemble, name), getattr(sphere.ensemble, name)
             assert got.tobytes() == want.tobytes()
         assert user.consensus.tobytes() == sphere.consensus.tobytes()
-        assert user.ensemble.residual is None
+        assert len(returned) == 80 and all(r is None for r in returned)
 
 
 class TestSchedule:
@@ -962,7 +1019,7 @@ class TestNoiseProducer:
         assert generator_states(rng) == generator_states(serial)
 
     @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
-    def test_a_failing_child_is_an_error_not_a_hang(self, monkeypatch):
+    def test_a_failing_child_is_an_error_not_a_hang(self, monkeypatch, capfd):
         here, fill = os.getpid(), cbo.rng._fill
 
         def fill_here_only(gens, out):
@@ -976,6 +1033,8 @@ class TestNoiseProducer:
         with pytest.raises(RuntimeError, match="noise producer exited early with status 1"):
             go()
         _assert_no_child()
+        err = capfd.readouterr().err
+        assert "Traceback (most recent call last)" in err and "MemoryError" in err
 
     @pytest.mark.skipif(not TWO_CPUS, reason="the producer needs Linux and two CPUs")
     def test_a_failed_start_leaks_no_descriptor(self, monkeypatch):
@@ -1198,11 +1257,11 @@ class TestSplitRun:
         class Poisoned(CsObjective):
             calls = 0
 
-            def values(self, points, batch=None, with_residual=False):
+            def values_and_residual(self, points, batch=None):
                 self.calls += 1
                 if self.calls > 5 and np.any(self.A[..., 0, 0] == 0.0):
                     raise FloatingPointError("poisoned trial")
-                return super().values(points, batch, with_residual)
+                return super().values_and_residual(points, batch)
 
         def objective(seed, m):
             cs = _stacked_cs(seed, m)

@@ -166,8 +166,8 @@ class TestCsEval:
         pts = np.random.Generator(np.random.PCG64(6)).standard_normal((4, 15, 9))
         pts[0, 0, :2] = 0.0
         for t, (own, part) in enumerate(zip(objs, parts)):
-            own_values, own_residual = own.values(pts[t], with_residual=True)
-            part_values, part_residual = part.values(pts[t : t + 1], with_residual=True)
+            own_values, own_residual = own.values_and_residual(pts[t])
+            part_values, part_residual = part.values_and_residual(pts[t : t + 1])
             for got, want in (
                 (part_values[0], own_values),
                 (part_residual[0], own_residual),
@@ -251,7 +251,7 @@ class TestCsGrad:
         else:
             grads = grads + np.sign(pts) * ((p * mu) / np.sqrt(np.abs(pts) + CS_SMOOTHING_EPS))
 
-        got_values, got_residual = obj.values(pts, with_residual=True)
+        got_values, got_residual = obj.values_and_residual(pts)
         for got, want in (
             (obj.values(pts), values),
             (got_values, values),
