@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from . import harness
@@ -135,6 +136,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = _parser().parse_args(argv)
+    # refused before the command runs, which may take minutes, not after
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        log.error("configuration error: the directory of --out %s does not exist", args.out)
+        return EXIT_CONFIG
     try:
         cfg = load_config(args.config, seed_override=args.seed)
     except (ConfigError, OSError) as err:

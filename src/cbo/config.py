@@ -82,7 +82,13 @@ def _coerce(section: str, key: str, typ, raw):
                 return float(raw)
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}")
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError:
+            # no repr: an integer this long may exceed Python's str conversion limit
+            raise ConfigError(
+                f"{section}.{key}: an integer of {raw.bit_length()} bits is too large for a float"
+            ) from None
     if typ is int:
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dynamics import CboParams, Ensemble, consensus_point
 from .errors import ConfigError
+from .objectives import squared_norms
 
 
 class LyapunovValue(NamedTuple):
@@ -30,7 +31,7 @@ def _mean_sq(diff: np.ndarray) -> np.ndarray:
 
     The sum over N divided by N is the arithmetic ``ndarray.mean`` does,
     bit for bit, without its Python-level dispatch."""
-    return np.einsum("...ij,...ij->...i", diff, diff).sum(axis=-1) / diff.shape[-2]
+    return squared_norms(diff).sum(axis=-1) / diff.shape[-2]
 
 
 def lyapunov_V(ens: Ensemble, x_star: np.ndarray) -> LyapunovValue:

@@ -11,24 +11,35 @@ at afterwards.  With ``--runpy`` each run is started through
 ``runpy.run_path`` from ``python3 -c`` instead of as a script, which lays out
 the interpreter's heap differently.
 
+When the first side is a git checkout and no side is named ``copy``, a
+``git archive HEAD`` of it is extracted next to it, in the same parent
+directory, and runs as side ``copy`` right after the first side; it is
+removed at the end.  Two identical trees can read several percent apart, so
+a claim is read against the copy as well as against the first side.  The
+rotation covers every side, the copy included.
+
 ``--out`` receives the runs and, per workload and end-to-end metric of
 BENCHMARK.json, each side's quartiles and, against every side listed
 before it, the median ratio, the number of seeds it won and that side's
-quartile spread.  With ``--side parent=… --side copy=… --side change=…``,
-where ``copy`` is a ``git archive`` of the parent, the change reads
-against the parent and against the copy, and the copy against the parent:
-the offset two identical trees show.
+quartile spread: with ``--side parent=… --side change=…`` the change reads
+against the parent and against the copy, and the copy against the parent.
+One warning line names the workloads on which the copy's ``wall_s`` median
+is more than 3 % off the first side's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
+COPY = "copy"
+COPY_WARN = 0.03  # the copy's wall_s median may be this far off the first side's
 RUNPY = ("import runpy, sys; sys.path.insert(0, 'benchmark'); "
          "sys.argv = ['benchmark/run.py'] + sys.argv[1:]; "
          "runpy.run_path('benchmark/run.py', run_name='__main__')")
@@ -51,6 +62,16 @@ def one_run(directory: Path, workload: str, seed: int, seconds: float, runpy: bo
     except (IndexError, json.JSONDecodeError):
         result = None
     return {"exit_code": proc.returncode, "stderr": proc.stderr, "result": result}
+
+
+def aa_copy(checkout: Path) -> Path:
+    """A ``git archive HEAD`` of ``checkout``, extracted into a new directory
+    next to it."""
+    archive = subprocess.run(["git", "archive", "HEAD"], cwd=checkout, capture_output=True,
+                             check=True).stdout
+    target = Path(tempfile.mkdtemp(prefix=checkout.name + "-copy-", dir=checkout.parent))
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+    return target
 
 
 def summary(runs: list[dict], sides: list[str], metrics: list[dict]) -> dict:
@@ -95,6 +116,20 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sides = dict(side.split("=", 1) for side in args.side)
+    first = next(iter(sides))
+    copy = None
+    if COPY not in sides and (Path(sides[first]) / ".git").exists():
+        copy = aa_copy(Path(sides[first]).resolve())
+        sides = {first: sides[first], COPY: str(copy),
+                 **{k: v for k, v in sides.items() if k != first}}
+    try:
+        return measure(args, sides)
+    finally:
+        if copy is not None:
+            shutil.rmtree(copy)
+
+
+def measure(args, sides: dict) -> int:
     names = list(sides)
     spec = json.loads((Path(sides[names[0]]) / "BENCHMARK.json").read_text())
     runs = []
@@ -108,13 +143,20 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: exit {run['exit_code']}, wall_s {value}",
                       file=sys.stderr, flush=True)
                 args.out.write_text(json.dumps({"runs": runs}, indent=1))
+    result = summary(runs, names, spec["end_to_end"])
     args.out.write_text(json.dumps({
         "command": "python3 benchmark/run.py --workload W --seed S --seconds "
                    f"{args.seconds:g} --trace 0" + (" (through runpy)" if args.runpy else ""),
         "sides": sides,
-        "summary": summary(runs, names, spec["end_to_end"]),
+        "summary": result,
         "runs": runs,
     }, indent=1))
+    off = [f"{w} {r:.3f}" for w, entry in result.items()
+           if (r := entry["metrics"]["wall_s"].get(COPY, {}).get("over_" + names[0]))
+           and abs(r - 1) > COPY_WARN]
+    if off:
+        print(f"warning: the A/A copy's wall_s median is more than {COPY_WARN:.0%} off "
+              f"{names[0]}'s: " + ", ".join(off), file=sys.stderr)
     return 0
 
 

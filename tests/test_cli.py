@@ -12,10 +12,11 @@ import yaml
 
 import numpy as np
 
+import cbo.cli
 import cbo.rng
 from cbo import harness
 from cbo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parser, main
-from cbo.config import _SCHEMA, ConfigError, load_config, resolve
+from cbo.config import _SCHEMA, ConfigError, _coerce, load_config, resolve
 from cbo.dynamics import CboParams, InitSpec, Schedule
 from cbo.harness import CsSpec, ExperimentConfig, SuccessRule
 from cbo.objectives import Rastrigin, Sphere
@@ -108,6 +109,12 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="theory.eps"):
             resolve({"theory": {"eps": "1e-4 or less"}})
 
+    def test_integer_past_the_float_range(self):
+        with pytest.raises(ConfigError, match="params.alpha: an integer of 1329 bits"):
+            resolve({"params": {"alpha": 10**400}})
+        with pytest.raises(ConfigError, match="sweep.x_grid"):
+            _coerce("sweep", "x_grid", float, -(10**400))
+
     def test_null_value_is_absent(self):
         assert resolve({"params": {"dt": None}})["params"]["dt"] == 0.01
 
@@ -173,6 +180,26 @@ class TestRunCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
+
+    def test_integer_past_the_float_range(self, tmp_path, caplog):
+        out = tmp_path / "result.json"
+        path = write_config(tmp_path, {"params": {"alpha": 10**400}})
+        assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "configuration error: params.alpha" in caplog.text
+        assert not out.exists()
+
+    def test_out_in_a_missing_directory_is_refused_before_running(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        ran = []
+        monkeypatch.setattr(cbo.cli, "load_config", lambda *a, **k: ran.append("load"))
+        monkeypatch.setitem(cbo.cli._COMMANDS, "run", lambda *a: ran.append("run"))
+        out = tmp_path / "missing" / "result.json"
+        code = main(["run", "--config", quick_run_config(tmp_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in caplog.text and str(out) in caplog.text
+        assert ran == []
+        assert not out.parent.exists()
 
     def test_malformed_config(self, tmp_path):
         path = write_config(tmp_path, {"params": {"dt": -1.0}})

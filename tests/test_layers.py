@@ -50,3 +50,25 @@ def test_only_rng_starts_kills_or_reaps_a_process():
         and node.func.attr in lifecycle
     )
     assert calls == [("rng", name) for name in sorted(lifecycle)]
+
+
+def test_the_one_squared_norm_is_objectives_squared_norms():
+    """The squared norm of the objectives and of V is written once: the
+    package's only ``np.einsum`` is inside ``objectives.squared_norms``."""
+    calls = [
+        (path.stem, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and node.func.attr == "einsum"
+    ]
+    helper = next(
+        node for node in ast.parse((SRC / "objectives.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "squared_norms"
+    )
+    assert len(calls) == 1, calls
+    (stem, line), = calls
+    assert stem == "objectives" and helper.lineno <= line <= helper.end_lineno

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +14,7 @@ from cbo.objectives import (
     ToyStochasticObjective,
     finite_diff_grad,
     generate_cs_instance,
+    squared_norms,
 )
 from cbo.rng import RngStream
 from helpers import FunctionObjective
@@ -27,6 +28,32 @@ class ScaledCs(CsObjective):
     def __init__(self, A, b, mu, p, scale):
         super().__init__(A, b, mu, p)
         self.scale = scale
+
+
+# signed zeros, subnormals, infinities, NaN and finite values whose squares
+# overflow, besides whatever finite floats hypothesis draws
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e300, -2e160]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestSquaredNorms:
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        st.sampled_from([1, 2, 3, 4, 25]),
+        st.sampled_from([(), (7,), (3, 5)]),
+        st.data(),
+    )
+    def test_bytes_of_the_einsum(self, d, leading, data):
+        x = data.draw(arrays(np.float64, leading + (d,), elements=_EDGE_FLOATS))
+        # the column path reports overflow as any ufunc does; step ignores it
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = squared_norms(x)
+        assert got.tobytes() == np.einsum("...j,...j->...", x, x).tobytes()
+        assert np.shape(got) == x.shape[:-1]
+        assert np.asarray(got).flags.c_contiguous
+        assert not np.shares_memory(got, x)
 
 
 class TestRastrigin:
