@@ -13,18 +13,22 @@ from .rng import CHANNEL_INSTANCE, RngStream
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:
-    """||x||^2 over the last axis of ``points``, a fresh C-contiguous array
-    of shape ``points.shape[:-1]``: the package's one squared norm, byte for
-    byte ``np.einsum("...j,...j->...", points, points)``.
+    """||x||^2 over the last axis of ``points``, a fresh array of shape
+    ``points.shape[:-1]``, C-contiguous for C-contiguous input: the
+    package's one squared norm, byte for byte
+    ``np.einsum("...j,...j->...", points, points)``.
 
-    Rows of one or two coordinates square once and add the columns, which
-    skips einsum's per-row loop: one or two rounded squares add to the same
-    float in any order.  Longer rows go through einsum, which sums them in
-    its own SIMD lane order; adding columns differs from that for d >= 3."""
-    d = points.shape[-1]
-    if d == 1 or d == 2:
+    Rows of two coordinates square once and add the columns, which skips
+    einsum's per-row loop: two rounded squares add to the same float in
+    either order.  Rows of any other length go through einsum, which sums
+    longer rows in its own SIMD lane order; adding columns differs from
+    that for d >= 3.  On the two-column path a finite coordinate whose
+    square overflows (|x| > ~1.3e154) gives inf with numpy's overflow
+    RuntimeWarning, as any ufunc does; einsum gives the same inf silently.
+    ``step`` ignores overflow; elsewhere, as for V, the warning shows."""
+    if points.shape[-1] == 2:
         sq = np.square(points)
-        return sq[..., 0].copy() if d == 1 else np.add(sq[..., 0], sq[..., 1])
+        return np.add(sq[..., 0], sq[..., 1])
     return np.einsum("...j,...j->...", points, points)
 
 

@@ -14,7 +14,8 @@ the interpreter's heap differently.
 When the first side is a git checkout and no side is named ``copy``, a
 ``git archive HEAD`` of it is extracted next to it, in the same parent
 directory, and runs as side ``copy`` right after the first side; it is
-removed at the end.  Two identical trees can read several percent apart, so
+removed at the end.  A first side with uncommitted or untracked changes
+gets no copy, and a note says so, since the archive would miss them.  Two identical trees can read several percent apart, so
 a claim is read against the copy as well as against the first side.  The
 rotation covers every side, the copy included.
 
@@ -64,9 +65,15 @@ def one_run(directory: Path, workload: str, seed: int, seconds: float, runpy: bo
     return {"exit_code": proc.returncode, "stderr": proc.stderr, "result": result}
 
 
-def aa_copy(checkout: Path) -> Path:
+def aa_copy(checkout: Path) -> Path | None:
     """A ``git archive HEAD`` of ``checkout``, extracted into a new directory
-    next to it."""
+    next to it; None, with a note, when ``checkout`` has uncommitted or
+    untracked changes, which the archive would leave out."""
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
+                            capture_output=True, text=True, check=True).stdout
+    if status:
+        print(f"note: {checkout} differs from its HEAD; no A/A copy is run", file=sys.stderr)
+        return None
     archive = subprocess.run(["git", "archive", "HEAD"], cwd=checkout, capture_output=True,
                              check=True).stdout
     target = Path(tempfile.mkdtemp(prefix=checkout.name + "-copy-", dir=checkout.parent))
@@ -120,6 +127,7 @@ def main(argv=None) -> int:
     copy = None
     if COPY not in sides and (Path(sides[first]) / ".git").exists():
         copy = aa_copy(Path(sides[first]).resolve())
+    if copy is not None:
         sides = {first: sides[first], COPY: str(copy),
                  **{k: v for k, v in sides.items() if k != first}}
     try:

@@ -136,6 +136,18 @@ class TestLyapunov:
         ens = ensemble_from(np.ones((5, 3)), np.ones((5, 3)))
         assert lyapunov_V(ens, np.ones(3)).total == 0.0
 
+    def test_overflowing_square_warns_and_gives_inf(self):
+        # squared_norms adds the columns of two-coordinate rows, and a square
+        # past the float range reports overflow there as any ufunc does
+        ens = ensemble_from([[1e200, 0.0]], [[1e200, 0.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            v = lyapunov_V(ens, np.zeros(2))
+        assert v.position_part == math.inf
+        assert v.memory_part == 0.0
+        # rows of three coordinates go through einsum, which gives inf silently
+        ens = ensemble_from([[1e200, 0.0, 0.0]], [[1e200, 0.0, 0.0]])
+        assert lyapunov_V(ens, np.zeros(3)).total == math.inf
+
 
 class TestWasserstein:
     def test_hand_computed(self):
