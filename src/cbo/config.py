@@ -72,6 +72,9 @@ _SCHEMA = {
 # a number in a string, as YAML leaves one without a dot (1e-4)
 _NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
+# the one integer key that no array holds: SeedSequence entropy of any size
+_UNBOUNDED_INTS = {("experiment", "seed")}
+
 
 def _coerce(section: str, key: str, typ, raw):
     if typ is float:
@@ -92,6 +95,12 @@ def _coerce(section: str, key: str, typ, raw):
     if typ is int:
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}")
+        if (section, key) not in _UNBOUNDED_INTS and not -(2**63) <= raw < 2**63:
+            # no repr, as for a float: it may exceed Python's str conversion limit
+            raise ConfigError(
+                f"{section}.{key}: an integer of {raw.bit_length()} bits does not fit "
+                "in a signed 64-bit integer"
+            )
         return raw
     if typ is str:
         if not isinstance(raw, str):
@@ -197,7 +206,10 @@ def load_config(path: str | None, seed_override: int | None = None) -> ResolvedC
     raw = {}
     if path is not None:
         with open(path) as f:
-            raw = yaml.safe_load(f) or {}
+            try:
+                raw = yaml.safe_load(f) or {}
+            except yaml.YAMLError as err:
+                raise ConfigError(f"{path} is not valid YAML: {err}") from None
     cfg = resolve(raw)
     env_seed = os.environ.get("CBO_SEED")
     if env_seed is not None:

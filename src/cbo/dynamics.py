@@ -116,8 +116,10 @@ class Ensemble:
 
     Positions and memories have shape (..., N, d) and the energies (..., N):
     leading axes hold the independent trials of a batch, and an ensemble
-    without them is a single trajectory.  Per trial, ``active`` marks the
-    trials still advancing and ``diverged_at`` the step at which a trial
+    without them is a single trajectory.  Positions and memories are held as
+    C-contiguous float64, a copy only of arrays laid out otherwise, so that
+    a particle's row is one block of memory.  Per trial, ``active`` marks
+    the trials still advancing and ``diverged_at`` the step at which a trial
     turned non-finite (-1 while it has not).
     """
 
@@ -129,6 +131,8 @@ class Ensemble:
     diverged_at: np.ndarray | None = None
 
     def __post_init__(self):
+        self.positions = np.ascontiguousarray(self.positions, dtype=float)
+        self.memories = np.ascontiguousarray(self.memories, dtype=float)
         if self.positions.ndim < 2 or self.positions.shape != self.memories.shape:
             raise ValueError("positions and memories must have identical (..., N, d) shape")
         if self.memory_energies.shape != self.positions.shape[:-1]:
@@ -226,7 +230,7 @@ def consensus_point(points, energies, alpha, subset=None) -> np.ndarray:
         energies = np.take_along_axis(energies, subset, axis=-1)
     if points.shape[-2] == 0:
         raise ValueError("empty consensus set")
-    if not np.all(np.isfinite(energies)):
+    if not np.isfinite(energies).all():
         raise ValueError("invalid energy")
     weights = np.exp(-alpha * (energies - energies.min(axis=-1, keepdims=True)))
     # a stacked (1, N) @ (N, d) product per trial: rows equal the unbatched result
@@ -253,9 +257,10 @@ def exact_memory_update(ens: Ensemble, new_positions, new_energies) -> Ensemble:
     active trials only.
 
     Reuses the supplied energies, so no extra objective evaluations happen;
-    memory energies are non-increasing along any trajectory.
+    memory energies are non-increasing along any trajectory.  A row is copied
+    as one item of d * 8 bytes, through a view of the C-contiguous rows.
     """
-    new_positions = np.asarray(new_positions, dtype=float)
+    new_positions = np.ascontiguousarray(new_positions, dtype=float)
     new_energies = np.asarray(new_energies, dtype=float)
     if new_positions.shape != ens.memories.shape:
         raise ValueError("shape mismatch between new positions and memories")
@@ -264,7 +269,10 @@ def exact_memory_update(ens: Ensemble, new_positions, new_energies) -> Ensemble:
     improved = new_energies < ens.memory_energies
     if not ens.active.all():
         improved &= ens.active[..., None]
-    np.copyto(ens.memories, new_positions, where=improved[..., None])
+    # memories reassigned since the ensemble was built may be laid out otherwise
+    ens.memories = np.ascontiguousarray(ens.memories, dtype=float)
+    row = np.dtype((np.void, ens.d * new_positions.itemsize))
+    np.copyto(ens.memories.view(row)[..., 0], new_positions.view(row)[..., 0], where=improved)
     np.copyto(ens.memory_energies, new_energies, where=improved)
     return ens
 
@@ -328,9 +336,10 @@ def step(
     y = ens.memories
     e_y = ens.memory_energies
     dt = params.dt
+    exact = params.uses_exact_memory
     needs_grads = params.lambda3 != 0.0 or params.sigma3 != 0.0
 
-    # non-finite values are caught by the per-trial checks below
+    # non-finite values are caught by the checks below
     with np.errstate(over="ignore", invalid="ignore"):
         ok = True
         if batch is not None:
@@ -342,10 +351,11 @@ def step(
         subset = None
         if n_consensus is not None and n_consensus < ens.n:
             subset = _draw_subset(rng, ens.n, n_consensus)
-        y_alpha = consensus_point(y, e_y, params.alpha, subset)[..., None, :]
+        y_alpha = consensus_point(y, e_y, params.alpha, subset)
 
-        # each difference feeds a drift term and a noise term: computed once
-        x_ya = x - y_alpha
+        # each difference feeds a drift term and a noise term: computed once;
+        # the consensus laid out as the particles makes x - y_alpha one pass
+        x_ya = x - np.repeat(y_alpha[..., None, :], ens.n, axis=-2)
         drift = params.lambda1 * x_ya
         x_y = x - y if params.lambda2 != 0.0 or params.sigma2 != 0.0 else None
         if params.lambda2 != 0.0:
@@ -376,21 +386,26 @@ def step(
             e_new, new_residual = objective.values_and_residual(x_new, batch)
         else:
             e_new, new_residual = objective.values(x_new, batch), None
-        ok = ok & np.isfinite(x_new).all(axis=(-2, -1)) & np.isfinite(e_new).all(axis=-1)
-        if not params.uses_exact_memory:
+        new = (x_new, e_new)
+        if not exact:
             s = memory_switch(e_new, e_y, params.beta, params.theta)
             y_new = y + dt * params.kappa * (x_new - y) * s[..., None]
             # the smoothed rule moves the memory, so its energy is re-evaluated
             e_y_new = objective.values(y_new, batch)
-            ok = ok & np.isfinite(e_y_new).all(axis=-1)
+            new += (e_y_new,)
 
-    if not ok.all():
-        ens.diverged_at[ens.active & ~ok] = k
-        ens.active = ens.active & ok
+    # per-trial masks only under a mini-batch or when some new value is not finite
+    if batch is not None or not all(np.isfinite(a).all() for a in new):
+        ok = ok & np.isfinite(x_new).all(axis=(-2, -1))
+        for a in new[1:]:
+            ok = ok & np.isfinite(a).all(axis=-1)
+        if not ok.all():
+            ens.diverged_at[ens.active & ~ok] = k
+            ens.active = ens.active & ok
     active = None if ens.active.all() else ens.active
 
     ens.positions = _unless_frozen(active, x_new, x)
-    if params.uses_exact_memory:
+    if exact:
         if batch is not None:
             ens.memory_energies = _unless_frozen(active, e_y, ens.memory_energies)
         exact_memory_update(ens, x_new, e_new)

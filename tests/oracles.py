@@ -1,7 +1,8 @@
 """Reference forms that the tests compare the package against.
 
 The objectives are written for one point x of shape (d,), independently of
-the batched ``Objective`` classes in ``cbo.objectives``.  ``unbatched_run``
+the batched ``Objective`` classes in ``cbo.objectives``; ``rastrigin_rows``
+is the one batched form, reduced by numpy's own ``sum``.  ``unbatched_run``
 runs one trajectory without a trial axis, independently of the harness's
 batch construction.
 """
@@ -16,6 +17,15 @@ from cbo.rng import RngStream
 def rastrigin(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     return float(np.sum(x**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * x))))
+
+
+def rastrigin_rows(points: np.ndarray) -> np.ndarray:
+    """Rastrigin energies of points (..., d): the per-coordinate terms in
+    the operand order ``Rastrigin.values`` uses (the cosine part first,
+    which decides the payload when both parts are NaN), reduced by
+    ``sum(axis=-1)``."""
+    x = np.asarray(points, dtype=float)
+    return (2.5 * (1.0 - np.cos(2.0 * np.pi * x)) + np.square(x)).sum(axis=-1)
 
 
 def rastrigin_grad(x: np.ndarray) -> np.ndarray:

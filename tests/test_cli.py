@@ -115,6 +115,17 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="sweep.x_grid"):
             _coerce("sweep", "x_grid", float, -(10**400))
 
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_integer_keys_fit_in_64_bits(self, value):
+        with pytest.raises(ConfigError, match="theory.cases: an integer of 64 bits does not fit"):
+            resolve({"theory": {"cases": value}})
+        assert resolve({"theory": {"cases": value - (1 if value > 0 else -1)}})
+
+    def test_seed_of_any_size_resolves(self):
+        cfg = resolve({"experiment": {"seed": 10**400}})
+        assert cfg["experiment"]["seed"] == 10**400
+        assert cfg.build_experiment().seed == 10**400
+
     def test_null_value_is_absent(self):
         assert resolve({"params": {"dt": None}})["params"]["dt"] == 0.01
 
@@ -186,6 +197,21 @@ class TestRunCommand:
         path = write_config(tmp_path, {"params": {"alpha": 10**400}})
         assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert "configuration error: params.alpha" in caplog.text
+        assert not out.exists()
+
+    def test_invalid_yaml_is_a_configuration_error(self, tmp_path, caplog, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("params: {dt: [1")
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert f"configuration error: {path} is not valid YAML" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+    def test_integer_past_64_bits(self, tmp_path, caplog):
+        out = tmp_path / "result.json"
+        path = write_config(tmp_path, {"experiment": {"n_particles": 10**400}})
+        assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert ("configuration error: experiment.n_particles: an integer of 1329 bits "
+                "does not fit in a signed 64-bit integer") in caplog.text
         assert not out.exists()
 
     def test_out_in_a_missing_directory_is_refused_before_running(

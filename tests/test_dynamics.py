@@ -345,6 +345,141 @@ class TestBatchedStep:
             assert np.all(ens.memory_energies <= prev)
 
 
+def _fortran(a):
+    return np.asfortranarray(a)
+
+
+def _coordinate_slice(a):
+    """``a`` as every other coordinate of a wider array: a view whose rows
+    are not contiguous."""
+    wide = np.full(a.shape[:-1] + (2 * a.shape[-1],), np.nan)
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+class PoisonedRastrigin(Rastrigin):
+    """Rastrigin whose ``call``-th call of ``method`` ("values" or
+    "gradients"), counted over the object's life, returns inf in the rows
+    of trial ``trial``."""
+
+    def __init__(self, d, method, call, trial):
+        super().__init__(d)
+        self.method, self.call, self.trial, self.calls = method, call, trial, 0
+
+    def _poisoned(self, method, out):
+        if method == self.method:
+            self.calls += 1
+            if self.calls == self.call:
+                out = out.copy()
+                out[self.trial] = np.inf
+        return out
+
+    def values(self, points, batch=None):
+        return self._poisoned("values", super().values(points, batch))
+
+    def gradients(self, points, batch=None):
+        return self._poisoned("gradients", super().gradients(points, batch))
+
+
+# what turns non-finite in step k -> (params, method poisoned, its call)
+DIVERGING_AT = {
+    "positions": (CboParams(lambda1=1.0, lambda3=0.1, sigma1=0.5, alpha=30.0, dt=0.05,
+                            kappa=20.0), "gradients", lambda k: k + 1),
+    "energies": (CboParams(lambda1=1.0, sigma1=0.5, alpha=30.0, dt=0.05, kappa=20.0),
+                 "values", lambda k: k + 1),
+    # the smoothed rule evaluates the new positions and then the new memories
+    "memory_energies": (CboParams(lambda1=1.0, sigma1=0.5, alpha=30.0, beta=3.0, theta=0.2,
+                                  kappa=4.0, dt=0.05), "values", lambda k: 2 * k + 2),
+}
+
+
+class TestShortRows:
+    """``step`` forms x - y_alpha against the consensus repeated along the
+    particles, copies improved memory rows through a row view and checks the
+    whole batch for finiteness before any trial: the same bytes as the
+    per-row forms, for any input layout and any divergence."""
+
+    @pytest.mark.parametrize("layout", [_fortran, _coordinate_slice], ids=["fortran", "sliced"])
+    @pytest.mark.parametrize("rule", sorted(BATCH_PARAMS))
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_any_layout_steps_to_the_bytes_of_c_copies(self, layout, rule, d):
+        obj = Rastrigin(d)
+        gen = np.random.Generator(np.random.PCG64(d))
+        x = gen.normal(0.5, 2.0, (3, 9, d))
+        y = x + gen.normal(0.0, 0.5, x.shape)
+        outcomes = []
+        for make in (np.copy, layout):
+            ens = Ensemble(make(x), make(y), obj.values(y))
+            assert ens.positions.flags.c_contiguous and ens.memories.flags.c_contiguous
+            rng = RngStream(17, range(3))
+            result = run(ens, BATCH_PARAMS[rule], Schedule(), obj, 8, rng)
+            outcomes.append([getattr(ens, name).tobytes() for name in
+                             ("positions", "memories", "memory_energies", "diverged_at")]
+                            + [result.consensus.tobytes()])
+        assert outcomes[0] == outcomes[1]
+
+    def test_c_contiguous_state_is_held_without_a_copy(self):
+        x = np.zeros((2, 5, 3))
+        y = np.ones((2, 5, 3))
+        ens = Ensemble(x, y, np.zeros((2, 5)))
+        assert ens.positions is x and ens.memories is y
+
+    @pytest.mark.parametrize("layout", [_fortran, _coordinate_slice], ids=["fortran", "sliced"])
+    def test_row_copy_equals_the_masked_copy(self, layout):
+        """The exact rule copies whole rows, signed zeros and NaN payloads
+        included, into reassigned memories of any layout, and only in the
+        active trials."""
+        gen = np.random.Generator(np.random.PCG64(4))
+        memories = gen.normal(size=(3, 6, 4))
+        new = gen.normal(size=(3, 6, 4))
+        new[0, 0] = [-0.0, float(np.uint64(0x7FF8000000000ABC).view(np.float64)), 5e-324, 0.0]
+        energies = gen.normal(size=(3, 6))
+        new_energies = energies + gen.normal(size=(3, 6))
+        new_energies[0, 0] = energies[0, 0] - 1.0
+        ens = Ensemble(np.zeros_like(memories), np.zeros_like(memories), energies.copy())
+        ens.memories = layout(memories)
+        ens.active = np.array([True, False, True])
+        exact_memory_update(ens, layout(new), new_energies)
+        improved = (new_energies < energies) & ens.active[:, None]
+        want = np.where(improved[..., None], new, memories)
+        assert ens.memories.tobytes() == want.tobytes()
+        assert ens.memory_energies.tobytes() == np.where(improved, new_energies,
+                                                         energies).tobytes()
+
+    @pytest.mark.parametrize("where", sorted(DIVERGING_AT))
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_one_trial_diverging_at_step_k(self, where, d):
+        """The trial that turns non-finite in step k records k and is frozen
+        at its state before that step; the other trials of the batch step on
+        as they do alone."""
+        params, method, call = DIVERGING_AT[where]
+        k, bad, m, steps = 5, 1, 3, 9
+        gen = np.random.Generator(np.random.PCG64(d))
+        x = gen.normal(0.5, 2.0, (m, 8, d))
+        y = x + gen.normal(0.0, 0.5, x.shape)
+        energies = Rastrigin(d).values(y)
+        ens = Ensemble(x.copy(), y.copy(), energies.copy())
+        obj = PoisonedRastrigin(d, method, call(k), bad)
+        rng = RngStream(23, range(m))
+        for i in range(steps):
+            if i == k:
+                before = copy.deepcopy(ens)
+            step(ens, params, obj, rng)
+        assert ens.diverged_at.tolist() == [k if t == bad else -1 for t in range(m)]
+        assert ens.active.tolist() == [t != bad for t in range(m)]
+        names = ("positions", "memories", "memory_energies")
+        for name in names:
+            assert getattr(ens, name)[bad].tobytes() == getattr(before, name)[bad].tobytes()
+        for t in set(range(m)) - {bad}:
+            alone = Ensemble(x[t].copy(), y[t].copy(), energies[t].copy())
+            alone_rng = RngStream(23, t)
+            for _ in range(steps):
+                step(alone, params, Rastrigin(d), alone_rng)
+            assert alone.diverged_at == -1
+            for name in names:
+                assert getattr(ens, name)[t].tobytes() == getattr(alone, name).tobytes()
+
+
 class TestExactMemoryUpdate:
     def test_improvement_replaces(self):
         obj = Sphere(1)

@@ -18,7 +18,7 @@ from cbo.objectives import (
 )
 from cbo.rng import RngStream
 from helpers import FunctionObjective
-from oracles import cs_eval, cs_grad, rastrigin, rastrigin_grad
+from oracles import cs_eval, cs_grad, rastrigin, rastrigin_grad, rastrigin_rows
 
 
 class ScaledCs(CsObjective):
@@ -36,6 +36,9 @@ _EDGE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e300, -2e160]),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
+# NaNs with a payload and with the sign bit set
+_NAN_PAYLOADS = [float(np.uint64(bits).view(np.float64))
+                 for bits in (0x7FF8000000000ABC, 0xFFF8000000000001, 0x7FF0000000000001)]
 
 
 class TestSquaredNorms:
@@ -96,6 +99,23 @@ class TestRastrigin:
         pts = np.random.Generator(np.random.PCG64(2)).normal(1.5, 2.0, shape)
         want = np.sum(pts**2 + 2.5 * (1.0 - np.cos(2.0 * np.pi * pts)), axis=-1)
         assert Rastrigin(shape[-1]).values(pts).tobytes() == want.tobytes()
+
+    @settings(derandomize=True, max_examples=400)
+    @given(
+        st.integers(1, 9),
+        st.sampled_from([(), (7,), (3, 5)]),
+        st.data(),
+    )
+    def test_values_are_the_bytes_of_the_row_reduction(self, d, leading, data):
+        """Adding the columns (d = 2..7) gives what ``sum(axis=-1)`` gives,
+        on either side of numpy's pairwise threshold of 8 elements."""
+        elements = st.one_of(_EDGE_FLOATS, st.sampled_from(_NAN_PAYLOADS))
+        x = data.draw(arrays(np.float64, leading + (d,), elements=elements))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = Rastrigin(d).values(x)
+            want = rastrigin_rows(x)
+        assert np.shape(got) == x.shape[:-1]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @given(arrays(float, 3, elements=st.floats(-10, 10)))
     def test_nonnegative_with_quadratic_bounds(self, x):
