@@ -399,19 +399,27 @@ class TestShortRows:
     whole batch for finiteness before any trial: the same bytes as the
     per-row forms, for any input layout and any divergence."""
 
-    @pytest.mark.parametrize("layout", [_fortran, _coordinate_slice], ids=["fortran", "sliced"])
-    @pytest.mark.parametrize("rule", sorted(BATCH_PARAMS))
-    @pytest.mark.parametrize("d", [2, 4])
-    def test_any_layout_steps_to_the_bytes_of_c_copies(self, layout, rule, d):
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.sampled_from([None, 1, 3]),
+        n=st.integers(2, 9),
+        d=st.integers(1, 6),
+        rule=st.sampled_from(sorted(BATCH_PARAMS)),
+        layout=st.sampled_from([_fortran, _coordinate_slice]),
+    )
+    def test_any_layout_steps_to_the_bytes_of_c_copies(self, seed, trials, n, d, rule, layout):
+        """Positions and memories given Fortran-ordered or as strided views,
+        with or without a trial axis, step as their C-contiguous copies."""
         obj = Rastrigin(d)
-        gen = np.random.Generator(np.random.PCG64(d))
-        x = gen.normal(0.5, 2.0, (3, 9, d))
+        gen = np.random.Generator(np.random.PCG64(seed))
+        x = gen.normal(0.5, 2.0, (() if trials is None else (trials,)) + (n, d))
         y = x + gen.normal(0.0, 0.5, x.shape)
         outcomes = []
         for make in (np.copy, layout):
             ens = Ensemble(make(x), make(y), obj.values(y))
             assert ens.positions.flags.c_contiguous and ens.memories.flags.c_contiguous
-            rng = RngStream(17, range(3))
+            rng = RngStream(seed, 0 if trials is None else range(trials))
             result = run(ens, BATCH_PARAMS[rule], Schedule(), obj, 8, rng)
             outcomes.append([getattr(ens, name).tobytes() for name in
                              ("positions", "memories", "memory_energies", "diverged_at")]
@@ -448,19 +456,22 @@ class TestShortRows:
 
     @pytest.mark.parametrize("where", sorted(DIVERGING_AT))
     @pytest.mark.parametrize("d", [2, 4])
-    def test_one_trial_diverging_at_step_k(self, where, d):
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), k=st.integers(0, 6), data=st.data())
+    def test_one_trial_diverging_at_step_k(self, where, d, seed, m, k, data):
         """The trial that turns non-finite in step k records k and is frozen
         at its state before that step; the other trials of the batch step on
         as they do alone."""
         params, method, call = DIVERGING_AT[where]
-        k, bad, m, steps = 5, 1, 3, 9
-        gen = np.random.Generator(np.random.PCG64(d))
+        bad = data.draw(st.integers(0, m - 1), label="bad")
+        steps = k + 3
+        gen = np.random.Generator(np.random.PCG64(seed))
         x = gen.normal(0.5, 2.0, (m, 8, d))
         y = x + gen.normal(0.0, 0.5, x.shape)
         energies = Rastrigin(d).values(y)
         ens = Ensemble(x.copy(), y.copy(), energies.copy())
         obj = PoisonedRastrigin(d, method, call(k), bad)
-        rng = RngStream(23, range(m))
+        rng = RngStream(seed, range(m))
         for i in range(steps):
             if i == k:
                 before = copy.deepcopy(ens)
@@ -472,7 +483,7 @@ class TestShortRows:
             assert getattr(ens, name)[bad].tobytes() == getattr(before, name)[bad].tobytes()
         for t in set(range(m)) - {bad}:
             alone = Ensemble(x[t].copy(), y[t].copy(), energies[t].copy())
-            alone_rng = RngStream(23, t)
+            alone_rng = RngStream(seed, t)
             for _ in range(steps):
                 step(alone, params, Rastrigin(d), alone_rng)
             assert alone.diverged_at == -1
