@@ -120,7 +120,8 @@ class Ensemble:
     C-contiguous float64, a copy only of arrays laid out otherwise, so that
     a particle's row is one block of memory.  Per trial, ``active`` marks
     the trials still advancing and ``diverged_at`` the step at which a trial
-    turned non-finite (-1 while it has not).
+    turned non-finite (-1 while it has not).  ``step`` alone records a
+    divergence and freezes the trial.
     """
 
     positions: np.ndarray
@@ -253,8 +254,10 @@ def memory_switch(e_x, e_y, beta, theta):
 
 
 def exact_memory_update(ens: Ensemble, new_positions, new_energies) -> Ensemble:
-    """Replace memory rows on strict energy improvement (in place), in the
-    active trials only.
+    """Replace memory rows on strict energy improvement (in place), in every
+    row given: the paper's rule, with no notion of a frozen trial.  ``step``
+    hands it a frozen trial's old positions and memory energies, which are
+    no improvement.
 
     Reuses the supplied energies, so no extra objective evaluations happen;
     memory energies are non-increasing along any trajectory.  A row is copied
@@ -267,8 +270,6 @@ def exact_memory_update(ens: Ensemble, new_positions, new_energies) -> Ensemble:
     if new_energies.shape != ens.memory_energies.shape:
         raise ValueError("shape mismatch between new energies and cache")
     improved = new_energies < ens.memory_energies
-    if not ens.active.all():
-        improved &= ens.active[..., None]
     # memories reassigned since the ensemble was built may be laid out otherwise
     ens.memories = np.ascontiguousarray(ens.memories, dtype=float)
     row = np.dtype((np.void, ens.d * new_positions.itemsize))
@@ -288,14 +289,6 @@ def _scaled_noise(
         z *= np.linalg.norm(arg, axis=-1, keepdims=True)
     z *= scale
     return z
-
-
-def _unless_frozen(active: np.ndarray | None, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """``new``, with the trials outside ``active`` (None: all are in) kept at
-    ``old``."""
-    if active is None:
-        return new
-    return np.where(active.reshape(active.shape + (1,) * (new.ndim - active.ndim)), new, old)
 
 
 def _draw_batch(rng: RngStream, n_batches: int) -> np.ndarray:
@@ -324,7 +317,9 @@ def step(
     A trial whose positions or energies turn non-finite in this step is
     frozen at its state before it, and the step is recorded in its
     ``diverged_at``, with or without a trial axis.  Frozen trials are never
-    written again.  Mutates ``ens``.
+    written again: ``step`` alone freezes them, by writing their old rows
+    into its new arrays, the energies ``objective`` returned among them, and
+    then assigning each array of ``ens`` once.  Mutates ``ens``.
 
     The gradients reuse ``residual``, the residual of ``objective`` at
     ``ens.positions`` (see ``Objective``), unless there is a mini-batch.
@@ -402,19 +397,28 @@ def step(
         if not ok.all():
             ens.diverged_at[ens.active & ~ok] = k
             ens.active = ens.active & ok
-    active = None if ens.active.all() else ens.active
+    if not ens.active.all():
+        # a frozen trial's rows of the new arrays are its old ones; the
+        # exact rule then sees no strict improvement there
+        frozen = ~ens.active[..., None]
+        np.copyto(x_new, x, where=frozen[..., None])
+        if exact:
+            if batch is not None:
+                np.copyto(e_y, ens.memory_energies, where=frozen)
+            np.copyto(e_new, e_y, where=frozen)
+        else:
+            np.copyto(y_new, y, where=frozen[..., None])
+            np.copyto(e_y_new, ens.memory_energies, where=frozen)
+        new_residual = None  # it describes the positions before the write-back
 
-    ens.positions = _unless_frozen(active, x_new, x)
+    ens.positions = x_new
     if exact:
-        if batch is not None:
-            ens.memory_energies = _unless_frozen(active, e_y, ens.memory_energies)
+        ens.memory_energies = e_y
         exact_memory_update(ens, x_new, e_new)
     else:
-        ens.memories = _unless_frozen(active, y_new, y)
-        ens.memory_energies = _unless_frozen(active, e_y_new, ens.memory_energies)
+        ens.memories, ens.memory_energies = y_new, e_y_new
     ens.step_index = k + 1
-    # a frozen trial keeps its old positions, which new_residual does not describe
-    return new_residual if active is None else None
+    return new_residual
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,16 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
     package's one squared norm, byte for byte
     ``np.einsum("...j,...j->...", points, points)``.
 
-    Rows of two coordinates square once and add the columns, which skips
-    einsum's per-row loop: two rounded squares add to the same float in
-    either order.  Rows of any other length go through einsum, which sums
-    longer rows in its own SIMD lane order; adding columns differs from
-    that for d >= 3.  On the two-column path a finite coordinate whose
-    square overflows (|x| > ~1.3e154) gives inf with numpy's overflow
-    RuntimeWarning, as any ufunc does; einsum gives the same inf silently.
+    Rows of two coordinates add their squares' columns with ``_row_sums``,
+    which skips einsum's per-row loop: two rounded squares add to the same
+    float in either order.  Rows of any other length go through einsum,
+    which sums longer rows in its own SIMD lane order.  On the two-column
+    path a finite coordinate whose square overflows (|x| > ~1.3e154) gives
+    inf with numpy's overflow RuntimeWarning, as any ufunc does; einsum
+    gives the same inf silently.
     ``step`` ignores overflow; elsewhere, as for V, the warning shows."""
     if points.shape[-1] == 2:
-        sq = np.square(points)
-        return np.add(sq[..., 0], sq[..., 1])
+        return _row_sums(np.square(points))
     return np.einsum("...j,...j->...", points, points)
 
 
@@ -67,6 +66,10 @@ class Objective:
     with that part, its *residual*, and take the residual as a third
     argument of ``gradients`` at the same points and batch (see
     ``CsObjective``).  By default there is no residual.
+
+    The energies returned are the caller's: ``step`` may overwrite them, as
+    ``exact_memory_update`` overwrites those ``init_ensemble`` caches, so an
+    objective returns a fresh array, never one it keeps.
     """
 
     dimension: int
@@ -161,6 +164,8 @@ class CsObjective(Objective):
     most 2 ulp.
     """
 
+    _TRIAL_ARRAYS = ("A", "At", "b")  # what ``stack`` stacks and ``part`` slices
+
     def __init__(self, A: np.ndarray, b: np.ndarray, mu: float, p: float):
         check_cs_regularizer(mu, p)
         self.A = np.asarray(A, dtype=float)
@@ -172,27 +177,26 @@ class CsObjective(Objective):
 
     @classmethod
     def stack(cls, objectives: list["CsObjective"]) -> "CsObjective":
-        """A copy of the first objective holding every trial's ``A``, ``At``
-        and ``b``; any further state of a subclass is the first one's."""
+        """A copy of the first objective holding every trial's arrays
+        ``_TRIAL_ARRAYS``; any further state of a subclass is the first
+        one's."""
         first = objectives[0]
         if any((o.mu, o.p) != (first.mu, first.p) for o in objectives):
             raise ValueError("trials of one batch need equal mu and p")
         out = copy.copy(first)
-        out.A = np.stack([o.A for o in objectives])
-        out.At = np.stack([o.At for o in objectives])
-        out.b = np.stack([o.b for o in objectives])
+        for name in cls._TRIAL_ARRAYS:
+            setattr(out, name, np.stack([getattr(o, name) for o in objectives]))
         return out
 
     def part(self, trials: slice) -> "CsObjective":
-        """A copy holding the ``A``, ``At`` and ``b`` of the trials
+        """A copy holding the arrays ``_TRIAL_ARRAYS`` of the trials
         ``trials`` of a stacked batch; an unstacked objective serves every
         trial."""
         if self.A.ndim < 3:
             return self
         out = copy.copy(self)
-        out.A = self.A[trials]
-        out.At = self.At[trials]
-        out.b = self.b[trials]
+        for name in self._TRIAL_ARRAYS:
+            setattr(out, name, getattr(self, name)[trials])
         return out
 
     def _residual(self, points):

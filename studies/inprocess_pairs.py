@@ -3,21 +3,21 @@
     python3 studies/inprocess_pairs.py --side parent=../parent --side change=. \
         --workload cs-l12-cell --pairs 20 --seed 7 [--same-output]
 
-Each side's ``src/cbo`` is loaded under a package name of its own
-(``cbo_parent``, ``cbo_change``), and a body of the benchmark workload is
-built from each the way ``benchmark/workloads.py`` builds it: the cell
-configs of that tree's ``benchmark/`` directory through ``run_trials``, or
-``configs/decay.yaml`` through ``decay_experiment``.  After one untimed
-warm-up body per side, pair k runs one body per side on the same input seed
-(``seed * 1_000_000 + k * 1_000``, as the benchmark derives them), and the
-side that goes first alternates from one pair to the next.  One process sees
-the same heap, CPU and host drift for both sides, so this resolves changes
-of a layer's size that separate benchmark runs cannot.
+Each side's body is the benchmark's own: its tree's ``benchmark/workloads.py``
+builds it, loaded with the ``sys.modules`` entries ``cbo``, ``cbo.<module>``
+and ``spans`` pointing at that tree's ``src/cbo`` and ``benchmark/spans.py``.
+Those entries are put back to the side's before each of its bodies, since a
+body imports ``cbo.harness`` when it counts particle steps.  After one
+untimed warm-up body per side, pair k runs one body per side on the input
+seed of repeat k (``Workload.input_seed``, as the benchmark derives them),
+and the side that goes first alternates from one pair to the next.  One
+process sees the same heap, CPU and host drift for both sides, so this
+resolves changes of a layer's size that separate benchmark runs cannot.
 
 Prints each side's median body time, the median of the per-pair ratio of
-the second side over the first, the pairs the second side won, and how
-many pairs' outputs differ.  With ``--same-output`` a differing output
-fingerprint makes the exit code 1.
+the second side over the first, the pairs the second side won, how many
+pairs' output fingerprints differ, and any problem a body reports.  With
+``--same-output`` a differing fingerprint makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -30,78 +30,49 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 os.environ.pop("CBO_SEED", None)
 
 import argparse  # noqa: E402
-import dataclasses  # noqa: E402
-import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 from statistics import median  # noqa: E402
 
-CELLS = {"rastrigin-cell": ("rastrigin_cell.yaml", False),
-         "cs-l12-cell": ("cs_l12_cell.yaml", True)}
+
+def _swapped(module: str) -> bool:
+    return module in ("cbo", "spans") or module.startswith("cbo.")
 
 
-def load_package(name: str, tree: Path):
-    """The ``cbo`` package of ``tree`` as the top-level package ``name``
-    (its modules import each other relatively)."""
-    init = tree / "src" / "cbo" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    for module in ("config", "harness", "rng"):
-        importlib.import_module(f"{name}.{module}")
-    return package
+def use_modules(entries: dict) -> None:
+    """Make ``entries`` the ``sys.modules`` entries of ``cbo``, its modules
+    and ``spans``, dropping any other side's."""
+    for module in [m for m in sys.modules if _swapped(m)]:
+        del sys.modules[module]
+    sys.modules.update(entries)
 
 
-def cell_body(cbo, tree: Path, config_file: str, sparse_recovery: bool):
-    cfg = cbo.config.load_config(str(tree / "benchmark" / config_file))
-    exp = cfg.build_experiment()
-    if sparse_recovery:
-        cs = cfg["cs"]
-        exp = cbo.harness.cs_experiment_config(cs["d"], cs["m"], cs["s"], cs["mu"], cs["p"], exp)
-
-    def body(seed: int) -> tuple:
-        summary = cbo.harness.run_trials(dataclasses.replace(exp, seed=seed))
-        return (summary.probability, summary.failures) + tuple(
-            (o.trial, o.success, o.diverged, o.reason,
-             None if o.consensus is None else o.consensus.tobytes())
-            for o in summary.outcomes
-        )
-
-    return body
+def _load(name: str, path: Path, **kwargs):
+    spec = importlib.util.spec_from_file_location(name, path, **kwargs)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
-def decay_body(cbo, tree: Path):
-    cfg = cbo.config.load_config(str(tree / "configs" / "decay.yaml"))
-    exp = cfg.build_experiment()
-    constants = cfg.build_constants()
-    theory = cfg["theory"]
-    problem = exp.objective_factory(cbo.rng.RngStream(exp.seed))
-
-    def body(seed: int) -> tuple:
-        rep = cbo.harness.decay_experiment(
-            problem.objective, problem.x_star, exp.params, constants, exp.n_particles,
-            exp.horizon_T, theory["vartheta"], seed=seed, eps=theory["eps"], init=exp.init,
-        )
-        return (rep.fit.rate, rep.fit.intercept, rep.fit.r_squared,
-                rep.times.tobytes(), rep.values.tobytes())
-
-    return body
-
-
-def build(workload: str, cbo, tree: Path):
-    if workload == "sphere-decay":
-        return decay_body(cbo, tree)
-    return cell_body(cbo, tree, *CELLS[workload])
+def load_side(name: str, tree: Path):
+    """``tree``'s ``benchmark/workloads.py`` as the module ``workloads_<name>``,
+    importing ``tree``'s ``cbo`` and ``spans``, and the ``sys.modules``
+    entries of those."""
+    use_modules({})
+    package = tree / "src" / "cbo"
+    _load("cbo", package / "__init__.py", submodule_search_locations=[str(package)])
+    _load("spans", tree / "benchmark" / "spans.py")
+    workloads = _load(f"workloads_{name}", tree / "benchmark" / "workloads.py")
+    return workloads, {m: module for m, module in sys.modules.items() if _swapped(m)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True, metavar="NAME=DIR")
-    parser.add_argument("--workload", required=True, choices=[*CELLS, "sphere-decay"])
+    parser.add_argument("--workload", required=True, help="a name in WORKLOADS")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--same-output", action="store_true")
@@ -109,22 +80,31 @@ def main(argv=None) -> int:
     sides = dict(side.split("=", 1) for side in args.side)
     if len(sides) != 2 or args.pairs < 1:
         parser.error("give exactly two sides and at least one pair")
+    sys.dont_write_bytecode = True  # nothing is written into the trees
     names = list(sides)
-    bodies = {}
+    bodies, modules = {}, {}
     for name in names:
         tree = Path(sides[name]).resolve()
-        bodies[name] = build(args.workload, load_package(f"cbo_{name}", tree), tree)
-        bodies[name](args.seed * 1_000_000 + args.pairs * 1_000)  # warm-up, a seed no pair uses
+        workloads, modules[name] = load_side(name, tree)
+        workload = workloads.WORKLOADS.get(args.workload)
+        if workload is None:
+            parser.error(f"{name} has no workload {args.workload!r}; "
+                         f"choose from {', '.join(workloads.WORKLOADS)}")
+        bodies[name] = workload.setup(tree)
+        bodies[name](workload.input_seed(args.seed, args.pairs))  # warm-up, a seed no pair uses
     times = {name: [] for name in names}
     differing = 0
     for k in range(args.pairs):
-        seed = args.seed * 1_000_000 + k * 1_000
-        outputs = {}
+        seed = workload.input_seed(args.seed, k)
+        results = {}
         for name in names if k % 2 == 0 else names[::-1]:
+            use_modules(modules[name])
             start = time.perf_counter()
-            outputs[name] = bodies[name](seed)
+            results[name] = bodies[name](seed)
             times[name].append(time.perf_counter() - start)
-        differing += outputs[names[0]] != outputs[names[1]]
+            for problem in results[name].problems:
+                print(f"{name}, pair {k}: {problem}")
+        differing += results[names[0]].fingerprint != results[names[1]].fingerprint
     base, other = names
     ratios = [b / a for a, b in zip(times[base], times[other])]
     wins = sum(r < 1.0 for r in ratios)

@@ -4,6 +4,7 @@ The benchmark's files are loaded by path, without writing to their
 directory."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +83,17 @@ def test_every_trial_path_calls_the_hooked_run_once(monkeypatch, tmp_path):
         n_particles=10, horizon=0.01, vartheta=0.25,
     )
     assert taken[2:] == [10 * 10]
+
+
+def test_inprocess_pairs_run_the_benchmarks_bodies():
+    """``studies/inprocess_pairs.py`` times the benchmark's own workload
+    bodies for two trees; with both at this checkout their outputs agree.
+    It swaps the ``cbo`` modules of its process, so it runs in its own."""
+    tool = ROOT / "studies" / "inprocess_pairs.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), "--side", f"a={ROOT}", "--side", f"b={ROOT}",
+         "--workload", "rastrigin-cell", "--pairs", "1", "--same-output"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "outputs differ in 0/1 pairs" in done.stdout

@@ -357,13 +357,14 @@ def _coordinate_slice(a):
     return wide[..., ::2]
 
 
-class PoisonedRastrigin(Rastrigin):
-    """Rastrigin whose ``call``-th call of ``method`` ("values" or
-    "gradients"), counted over the object's life, returns inf in the rows
-    of trial ``trial``."""
+class Poisoned(Objective):
+    """``objective``, except that the ``call``-th call of ``method``
+    ("values" or "gradients"), counted over the object's life, returns inf
+    in the rows of trial ``trial``."""
 
-    def __init__(self, d, method, call, trial):
-        super().__init__(d)
+    def __init__(self, objective, method, call, trial):
+        super().__init__(objective.dimension)
+        self.objective, self.n_batches = objective, objective.n_batches
         self.method, self.call, self.trial, self.calls = method, call, trial, 0
 
     def _poisoned(self, method, out):
@@ -375,21 +376,26 @@ class PoisonedRastrigin(Rastrigin):
         return out
 
     def values(self, points, batch=None):
-        return self._poisoned("values", super().values(points, batch))
+        return self._poisoned("values", self.objective.values(points, batch))
 
     def gradients(self, points, batch=None):
-        return self._poisoned("gradients", super().gradients(points, batch))
+        return self._poisoned("gradients", self.objective.gradients(points, batch))
 
 
-# what turns non-finite in step k -> (params, method poisoned, its call)
+_EXACT_WITH_GRADIENTS = CboParams(lambda1=1.0, lambda3=0.1, sigma1=0.5, alpha=30.0, dt=0.05,
+                                  kappa=20.0)
+_EXACT = CboParams(lambda1=1.0, sigma1=0.5, alpha=30.0, dt=0.05, kappa=20.0)
+
+# what turns non-finite in step k -> (params, mini-batches, method poisoned, its call)
 DIVERGING_AT = {
-    "positions": (CboParams(lambda1=1.0, lambda3=0.1, sigma1=0.5, alpha=30.0, dt=0.05,
-                            kappa=20.0), "gradients", lambda k: k + 1),
-    "energies": (CboParams(lambda1=1.0, sigma1=0.5, alpha=30.0, dt=0.05, kappa=20.0),
-                 "values", lambda k: k + 1),
+    "positions": (_EXACT_WITH_GRADIENTS, 1, "gradients", lambda k: k + 1),
+    "energies": (_EXACT, 1, "values", lambda k: k + 1),
     # the smoothed rule evaluates the new positions and then the new memories
     "memory_energies": (CboParams(lambda1=1.0, sigma1=0.5, alpha=30.0, beta=3.0, theta=0.2,
-                                  kappa=4.0, dt=0.05), "values", lambda k: 2 * k + 2),
+                                  kappa=4.0, dt=0.05), 1, "values", lambda k: 2 * k + 2),
+    # under a mini-batch a step re-evaluates the memories, then the new positions
+    "minibatch-memory_energies": (_EXACT, 3, "values", lambda k: 2 * k + 1),
+    "minibatch-positions": (_EXACT_WITH_GRADIENTS, 3, "gradients", lambda k: k + 1),
 }
 
 
@@ -435,8 +441,7 @@ class TestShortRows:
     @pytest.mark.parametrize("layout", [_fortran, _coordinate_slice], ids=["fortran", "sliced"])
     def test_row_copy_equals_the_masked_copy(self, layout):
         """The exact rule copies whole rows, signed zeros and NaN payloads
-        included, into reassigned memories of any layout, and only in the
-        active trials."""
+        included, into reassigned memories of any layout."""
         gen = np.random.Generator(np.random.PCG64(4))
         memories = gen.normal(size=(3, 6, 4))
         new = gen.normal(size=(3, 6, 4))
@@ -446,9 +451,8 @@ class TestShortRows:
         new_energies[0, 0] = energies[0, 0] - 1.0
         ens = Ensemble(np.zeros_like(memories), np.zeros_like(memories), energies.copy())
         ens.memories = layout(memories)
-        ens.active = np.array([True, False, True])
         exact_memory_update(ens, layout(new), new_energies)
-        improved = (new_energies < energies) & ens.active[:, None]
+        improved = new_energies < energies
         want = np.where(improved[..., None], new, memories)
         assert ens.memories.tobytes() == want.tobytes()
         assert ens.memory_energies.tobytes() == np.where(improved, new_energies,
@@ -460,22 +464,29 @@ class TestShortRows:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), k=st.integers(0, 6), data=st.data())
     def test_one_trial_diverging_at_step_k(self, where, d, seed, m, k, data):
         """The trial that turns non-finite in step k records k and is frozen
-        at its state before that step; the other trials of the batch step on
-        as they do alone."""
-        params, method, call = DIVERGING_AT[where]
+        at its state before that step, also when later steps re-evaluate its
+        memories on other mini-batches; the other trials of the batch step
+        on as they do alone."""
+        params, n_batches, method, call = DIVERGING_AT[where]
+        plain = Rastrigin(d) if n_batches == 1 else ToyStochasticObjective(d, n_batches)
+
+        def advance(ens, obj, rng):
+            batch = None if n_batches == 1 else cbo.dynamics._draw_batch(rng, n_batches)
+            step(ens, params, obj, rng, batch)
+
         bad = data.draw(st.integers(0, m - 1), label="bad")
         steps = k + 3
         gen = np.random.Generator(np.random.PCG64(seed))
         x = gen.normal(0.5, 2.0, (m, 8, d))
         y = x + gen.normal(0.0, 0.5, x.shape)
-        energies = Rastrigin(d).values(y)
+        energies = plain.values(y)
         ens = Ensemble(x.copy(), y.copy(), energies.copy())
-        obj = PoisonedRastrigin(d, method, call(k), bad)
+        obj = Poisoned(plain, method, call(k), bad)
         rng = RngStream(seed, range(m))
         for i in range(steps):
             if i == k:
                 before = copy.deepcopy(ens)
-            step(ens, params, obj, rng)
+            advance(ens, obj, rng)
         assert ens.diverged_at.tolist() == [k if t == bad else -1 for t in range(m)]
         assert ens.active.tolist() == [t != bad for t in range(m)]
         names = ("positions", "memories", "memory_energies")
@@ -485,7 +496,7 @@ class TestShortRows:
             alone = Ensemble(x[t].copy(), y[t].copy(), energies[t].copy())
             alone_rng = RngStream(seed, t)
             for _ in range(steps):
-                step(alone, params, Rastrigin(d), alone_rng)
+                advance(alone, plain, alone_rng)
             assert alone.diverged_at == -1
             for name in names:
                 assert getattr(ens, name)[t].tobytes() == getattr(alone, name).tobytes()
